@@ -1,23 +1,22 @@
-"""Run the benchmark over many seeds and summarize the run-to-run spread.
+"""Run the benchmark over seeds 0-9 and record the baseline and its spread.
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/collect.py --seeds 1-10 [--workloads zero_sweep,...]
-                                 [--trace-seed 0] [--baseline perfbench/baseline.json]
+    python3 perfbench/collect.py
 
-Each (workload, seed) is one ``run.py`` process with the ``run_seconds``
-of ``BENCHMARK.json``.  For every end-to-end metric this prints the median
-and the quartiles of its values over the seeds (``statistics.quantiles``
-with ``n=4``), and the spread ``(q3 - q1) / median`` next to a third of the
-metric's bound, the level the benchmark is tuned to stay under.  With
-``--trace-seed`` one traced run per workload is added.  With
-``--baseline`` the summary, the wrong-verdict tallies, the environment and
-``perfbench/out/threads.json`` (if present) are written to that file.
+Each (workload, seed) of every workload in ``BENCHMARK.json`` is one
+``run.py`` process with the ``run_seconds`` of ``BENCHMARK.json``.  For
+every end-to-end metric this prints the median and the quartiles of its
+values over the seeds (``statistics.quantiles`` with ``n=4``), and the
+spread ``(q3 - q1) / median`` next to a third of the metric's bound, the
+level the benchmark is tuned to stay under.  One traced run per workload
+at seed 0 follows.  The summary, the wrong-verdict tallies, the
+environment and ``perfbench/out/threads.json`` (if present) are written to
+``perfbench/baseline.json``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -26,13 +25,8 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-
-
-def seed_list(text):
-    if "-" in text:
-        lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(tok) for tok in text.split(",")]
+SEEDS = list(range(10))
+TRACE_SEED = 0
 
 
 def run(workload, seed, seconds, trace):
@@ -53,20 +47,14 @@ def summarize(values, bound):
 
 def main():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
-    parser.add_argument("--workloads", default=",".join(w["name"] for w in spec["workloads"]))
-    parser.add_argument("--trace-seed", type=int)
-    parser.add_argument("--baseline", type=Path)
-    args = parser.parse_args()
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     summary = {}
     environment = None
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in spec["workloads"]):
         values = {name: [] for name in bounds}
         tallies = {}
         all_correct = True
-        for seed in args.seeds:
+        for seed in SEEDS:
             result, record = run(workload, seed, spec["run_seconds"], 0)
             environment = record["environment"]
             all_correct &= result["correct"]
@@ -77,7 +65,7 @@ def main():
             print(f"{workload} seed {seed}: correct {result['correct']} failed {result['failed']} "
                   f"{tallies[seed]}", flush=True)
         entry = {
-            "seeds": args.seeds,
+            "seeds": SEEDS,
             "all_correct": all_correct,
             "metrics": {name: summarize(values[name], bounds[name]) for name in bounds},
             "tallies": tallies,
@@ -86,25 +74,25 @@ def main():
             flag = "ok" if stats["spread"] < stats["bound"] / 3 else "WIDE"
             print(f"  {name:16s} median {stats['median']:.6g}  q1 {stats['q1']:.6g}  q3 {stats['q3']:.6g}  "
                   f"spread {stats['spread']:.4f}  bound/3 {stats['bound'] / 3:.4f}  {flag}", flush=True)
-        if args.trace_seed is not None:
-            result, record = run(workload, args.trace_seed, spec["run_seconds"], 1)
-            entry["traced"] = {"seed": args.trace_seed, "correct": result["correct"],
-                               "untraced_wall_s": record["untraced_wall_s"],
-                               "traced_wall_s": record["traced_wall_s"],
-                               "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
-            print(f"  traced seed {args.trace_seed}: correct {result['correct']}, overhead "
-                  f"{result['metrics']['trace.overhead_s']['value']:.4f} s, m1-m3 coverage "
-                  f"{result['metrics']['trace.m1_m3_coverage']['value']:.4f}", flush=True)
+        result, record = run(workload, TRACE_SEED, spec["run_seconds"], 1)
+        entry["traced"] = {"seed": TRACE_SEED, "correct": result["correct"],
+                           "untraced_wall_s": record["untraced_wall_s"],
+                           "untraced_spread_s": record["untraced_spread_s"],
+                           "traced_wall_s": record["traced_wall_s"],
+                           "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+        print(f"  traced seed {TRACE_SEED}: correct {result['correct']}, overhead "
+              f"{result['metrics']['trace.overhead_s']['value']:.4f} s (untraced pass spread "
+              f"{record['untraced_spread_s']:.4f} s), m1-m3 coverage "
+              f"{result['metrics']['trace.m1_m3_coverage']['value']:.4f}", flush=True)
         summary[workload] = entry
-    if args.baseline:
-        threads = HERE / "out" / "threads.json"
-        baseline = {
-            "run_seconds": spec["run_seconds"],
-            "environment": environment,
-            "workloads": summary,
-            "thread_report": json.loads(threads.read_text(encoding="utf-8")) if threads.exists() else None,
-        }
-        args.baseline.write_text(json.dumps(baseline, indent=1) + "\n", encoding="utf-8")
+    threads = HERE / "out" / "threads.json"
+    baseline = {
+        "run_seconds": spec["run_seconds"],
+        "environment": environment,
+        "workloads": summary,
+        "thread_report": json.loads(threads.read_text(encoding="utf-8")) if threads.exists() else None,
+    }
+    (HERE / "baseline.json").write_text(json.dumps(baseline, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

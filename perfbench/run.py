@@ -12,9 +12,12 @@ times slower and the timings stop being comparable.
 ``--trace 0`` builds and certifies the cases, times set-up in this and
 four fresh interpreters, then repeats passes over the cases while another
 pass fits in ``--seconds`` and reports the end-to-end metrics (medians
-over passes).  ``--trace 1`` runs one untraced and one traced pass and
-reports the per-layer metrics of ``tracing.py`` instead; the traced
-verdicts must equal the untraced ones.
+over passes).  ``--trace 1`` runs the same untraced passes (at least two)
+and then one traced pass, and reports the per-layer metrics of
+``tracing.py`` instead; the traced verdicts must equal the untraced ones.
+
+``attempted`` and ``failed`` count the verdicts of one pass and those
+that came back with diagnostics; every pass must give the same verdicts.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  A fuller record
@@ -41,20 +44,27 @@ SETUP_SAMPLES = 5
 OUT = Path(__file__).resolve().parent / "out"
 
 
+def verdicts_agree(args, cases, passes):
+    """Every pass gives the first pass's verdicts, and those are acceptable."""
+    first = passes[0]
+    return harness.verdicts_are_acceptable(args.workload, args.seed, cases, first.verdicts) and all(
+        p.verdicts == first.verdicts and p.diagnostics.keys() == first.diagnostics.keys() for p in passes
+    )
+
+
 def untraced_run(nr, cases, args, first_setup):
     samples = [first_setup] + [harness.probe_setup(args.workload, args.seed) for _ in range(SETUP_SAMPLES - 1)]
     passes = harness.timed_passes(nr, cases, args.seconds)
-    first = passes[0]
-    correct = harness.verdicts_are_acceptable(cases, first.verdicts) and all(
-        p.verdicts == first.verdicts and p.diagnostics.keys() == first.diagnostics.keys() for p in passes
-    )
+    correct = verdicts_agree(args, cases, passes)
     metrics = harness.end_to_end_metrics(cases, passes, statistics.median(samples))
     record = {"setup_samples_s": samples}
     return correct, passes, metrics, record
 
 
 def traced_run(nr, cases, args):
-    untraced = harness.run_pass(nr, cases)
+    untraced = harness.timed_passes(nr, cases, args.seconds)
+    if len(untraced) < 2:
+        untraced.append(harness.run_pass(nr, cases))
     tracer = tracing.Tracer()
     traced_cases = []
     with tracing.traced(tracer):
@@ -64,22 +74,21 @@ def traced_run(nr, cases, args):
                 harness.certify(nr, case)
             traced_cases.append(case)
         traced = harness.run_pass(nr, traced_cases, tracer)
-    correct = (
-        traced.verdicts == untraced.verdicts
-        and traced.diagnostics.keys() == untraced.diagnostics.keys()
-        and harness.verdicts_are_acceptable(cases, untraced.verdicts)
-    )
-    overhead = traced.wall - untraced.wall
+    passes = untraced + [traced]
+    correct = verdicts_agree(args, cases, passes)
+    walls = [p.wall for p in untraced]
+    overhead = traced.wall - statistics.median(walls)
     metrics = tracing.layer_metrics(tracer.spans, overhead)
     spans_path = OUT / f"{args.workload}-s{args.seed}-spans.json"
     with open(spans_path, "w", encoding="utf-8") as handle:
         json.dump({"fields": ["id", "parent", "case", "name", "start", "end", "stats"], "spans": tracer.spans}, handle)
     record = {
-        "untraced_wall_s": untraced.wall,
+        "untraced_wall_s": walls,
+        "untraced_spread_s": max(walls) - min(walls),
         "traced_wall_s": traced.wall,
         "spans_file": str(spans_path.relative_to(harness.ROOT)),
     }
-    return correct, [untraced, traced], metrics, record
+    return correct, passes, metrics, record
 
 
 def main(argv=None):
@@ -110,8 +119,8 @@ def main(argv=None):
     tally = harness.verdict_tally(cases, passes[0].verdicts, passes[0].diagnostics)
     result = {
         "correct": bool(correct),
-        "attempted": sum(len(p.verdicts) for p in passes),
-        "failed": sum(len(p.diagnostics) for p in passes),
+        "attempted": len(passes[0].verdicts),
+        "failed": len(passes[0].diagnostics),
         "metrics": metrics,
     }
     record = {
@@ -134,6 +143,8 @@ def main(argv=None):
     wrong = ", ".join(f"M{k} {tally[f'm{k}_wrong']}" for k in harness.METHODS)
     print(f"{args.workload} seed {args.seed}: {len(cases)} cases, {len(passes)} passes, correct {correct}")
     print(f"wrong verdicts: {wrong}; errors {tally['errors']}")
+    if args.trace:
+        print(f"untraced passes spread over {record['untraced_spread_s']:.4f} s; a smaller overhead is unresolved")
     for name, metric in metrics.items():
         print(f"  {name:40s} {metric['value']!r} {metric['unit']}")
     print(json.dumps(result))

@@ -76,7 +76,6 @@ def test_self_time_subtracts_wrapped_children():
     assert metrics["reductions.ctrb_staircase.self_s"] == 3.0
     assert metrics["reductions.ctrb_staircase.removed"] == 3
     assert metrics["kernels.row_compress.flops"] == 11
-    assert metrics["analysis.evalfr.ok_ratio"] == 0.0
     assert metrics["trace.m1_m3_coverage"] == (3.0 + 2.0 + 1.0) / 10.0
     assert metrics["trace.overhead_s"] == 0.5
 
@@ -90,14 +89,40 @@ def test_certificates_reject_a_mislabelled_case(tiny_cases):
         harness.certify(nr, case)
 
 
-def test_zero_sweep_seed_0_reproduces_the_criterion_1_tally():
+@pytest.fixture(scope="module")
+def sweep_seed_0():
     cases = harness.build_cases(nr, "zero_sweep", 0)
-    result = harness.run_pass(nr, cases)
+    return cases, harness.run_pass(nr, cases)
+
+
+def test_zero_sweep_seed_0_reproduces_the_criterion_1_tally(sweep_seed_0):
+    cases, result = sweep_seed_0
     tally = harness.verdict_tally(cases, result.verdicts, result.diagnostics)
     counts = {k: v for k, v in tally.items() if k != "wrong"}
     assert counts == {"m1_wrong": 13, "m2_wrong": 0, "m3_wrong": 3, "m4_wrong": 0, "m5_wrong": 0, "errors": 0}
     # The recorded acceptance log has M1 accepting this case.
     assert "z20s1:M1" in tally["wrong"]
+
+
+def test_only_listed_limits_of_m1_and_m3_are_acceptable(sweep_seed_0):
+    cases, result = sweep_seed_0
+    verdicts = result.verdicts
+    assert harness.verdicts_are_acceptable("zero_sweep", 0, cases, verdicts)
+    assert ("z1s0", 1) not in harness.wrong_verdicts(cases, verdicts)
+    for k in harness.METHODS:
+        worse = {**verdicts, ("z1s0", k): False}
+        # known_wrong.json covers seed 0, so no new wrong verdict passes.
+        assert not harness.verdicts_are_acceptable("zero_sweep", 0, cases, worse)
+        # Beyond the seeds it covers, only M1 and M3 may reject a zero case.
+        assert harness.verdicts_are_acceptable("zero_sweep", 10**6, cases, worse) == (k in (1, 3))
+
+
+def test_a_nonzero_case_judged_null_is_never_acceptable(tiny_cases):
+    verdicts = harness.run_pass(nr, tiny_cases).verdicts
+    assert harness.verdicts_are_acceptable("nonzero_mixed", 0, tiny_cases, verdicts)
+    for k in harness.METHODS:
+        worse = {**verdicts, (tiny_cases[1].id, k): True}
+        assert not harness.verdicts_are_acceptable("nonzero_mixed", 0, tiny_cases, worse)
 
 
 def test_benchmark_json_lists_exactly_the_reported_metrics(tiny_cases):

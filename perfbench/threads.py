@@ -2,11 +2,11 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/threads.py [--seed 0] [--workloads zero_sweep,...]
+    python3 perfbench/threads.py
 
-For each workload one verdict pass runs in two fresh interpreters: one
-with BLAS pinned to 1 thread and one with BLAS threads = ``nproc``.  The
-thread count is set only in each child's environment.  The report lists
+For each workload, at seed 0, one verdict pass runs in two fresh
+interpreters: one with BLAS pinned to 1 thread and one with BLAS threads
+= ``nproc``.  The thread count is set only in each child's environment.  The report lists
 every (case, method) verdict that differs between the two and the ratio of
 their pass times, prints it, and writes ``perfbench/out/threads.json``.
 It is not a gated metric.
@@ -14,7 +14,6 @@ It is not a gated metric.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import subprocess
@@ -23,9 +22,11 @@ from pathlib import Path
 
 import harness
 
+SEED = 0
 
-def worker(workload, seed):
-    nr, cases, _ = harness.setup(workload, seed)
+
+def worker(workload):
+    nr, cases, _ = harness.setup(workload, SEED)
     result = harness.run_pass(nr, cases)
     print(json.dumps({
         "wall_s": result.wall,
@@ -35,29 +36,24 @@ def worker(workload, seed):
     }))
 
 
-def run_with_threads(workload, seed, threads):
+def run_with_threads(workload, threads):
     env = dict(os.environ, **{var: str(threads) for var in harness.BLAS_THREAD_VARS})
     out = subprocess.run(
-        [sys.executable, __file__, "--worker", workload, "--seed", str(seed)],
+        [sys.executable, __file__, "--worker", workload],
         env=env, capture_output=True, text=True, timeout=1800, check=True,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workloads", default=",".join(harness.WORKLOADS))
-    parser.add_argument("--worker", metavar="WORKLOAD", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-    if args.worker:
-        worker(args.worker, args.seed)
+    if sys.argv[1:2] == ["--worker"]:
+        worker(sys.argv[2])
         return
     nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    report = {"seed": args.seed, "nproc": nproc, "workloads": {}}
-    for workload in args.workloads.split(","):
-        one = run_with_threads(workload, args.seed, 1)
-        many = run_with_threads(workload, args.seed, nproc)
+    report = {"seed": SEED, "nproc": nproc, "workloads": {}}
+    for workload in harness.WORKLOADS:
+        one = run_with_threads(workload, 1)
+        many = run_with_threads(workload, nproc)
         differ = sorted(key for key, v in one["verdicts"].items() if many["verdicts"][key] != v)
         entry = {
             "threads_1": {k: one[k] for k in ("wall_s", "method_s", "openblas_runtime")},
@@ -69,7 +65,7 @@ def main():
         }
         report["workloads"][workload] = entry
         ratios = ", ".join(f"M{k} {r:.2f}" for k, r in enumerate(entry["method_time_ratio"], start=1))
-        print(f"{workload} seed {args.seed}: {nproc} threads vs 1: pass time x{entry['time_ratio']:.2f} "
+        print(f"{workload} seed {SEED}: {nproc} threads vs 1: pass time x{entry['time_ratio']:.2f} "
               f"({ratios}); {len(differ)} of {entry['verdicts']} verdicts differ {differ}", flush=True)
     out = Path(__file__).resolve().parent / "out"
     out.mkdir(exist_ok=True)

@@ -72,25 +72,23 @@ LAPACK_LAYERS = {"reductions.rq": "rq", "reductions.qr": "qr"}
 # Per-layer metrics: (layer, statistic, unit, better).  ``calls`` and ``s``
 # are span counts and summed durations, ``self_s`` subtracts the time
 # covered by wrapped children, other statistics come from the stats hooks.
-# ``bench.build_zero_case`` is traced but reported through
-# ``bench.random_stable_system``, which every workload's set-up calls: a
-# time that is 0 on every run of a workload carries no information.
-# Pole hits of ``evalfr`` are reported as ``ok_ratio`` for the same reason.
+# As for the end-to-end metrics, a statistic is listed only if it is
+# nonzero on every workload.  Traced but left out for that reason: the
+# ``removed`` count of ``obsv_staircase`` (0 on ``nonzero_mixed``) and of
+# ``remove_nondynamic`` (0 on the zero workloads), the time of
+# ``bench.build_zero_case`` (0 on ``nonzero_mixed``), and the pole hits of
+# ``evalfr`` (0 everywhere).
 PER_LAYER = [
     *[
-        (layer, stat, unit, better)
+        (layer, stat, unit, "lower")
         for layer in (
             "reductions.ctrb_staircase",
             "reductions.obsv_staircase",
             "reductions.remove_nondynamic",
         )
-        for stat, unit, better in (
-            ("calls", "count", "lower"),
-            ("s", "s", "lower"),
-            ("self_s", "s", "lower"),
-            ("removed", "count", "higher"),
-        )
+        for stat, unit in (("calls", "count"), ("s", "s"), ("self_s", "s"))
     ],
+    ("reductions.ctrb_staircase", "removed", "count", "higher"),
     *[
         (layer, stat, unit, "lower")
         for layer in ("reductions.rq", "reductions.qr")
@@ -104,12 +102,10 @@ PER_LAYER = [
         for layer in ("kernels.row_compress", "kernels.col_compress", "kernels.rank_svd")
         for stat, unit in (("calls", "count"), ("s", "s"), ("max_dim", "count"), ("flops", "flop"))
     ],
-    ("analysis.evalfr", "calls", "count", "lower"),
-    ("analysis.evalfr", "s", "s", "lower"),
-    ("analysis.evalfr", "ok_ratio", "ratio", "higher"),
     *[
         (layer, stat, unit, "lower")
         for layer in (
+            "analysis.evalfr",
             "analysis.peak_gain",
             "core.is_regular",
             "analysis.bilinear",
@@ -256,14 +252,13 @@ def layer_metrics(spans, overhead_s):
         root_of.append(sid if parent is None else root_of[parent])
         duration = end - start
         self_s = duration - child_time[sid]
-        acc = totals.setdefault(name, dict.fromkeys(("calls", "s", "self_s", "removed", "max_dim", "flops", "errors"), 0))
+        acc = totals.setdefault(name, dict.fromkeys(("calls", "s", "self_s", "removed", "max_dim", "flops"), 0))
         acc["calls"] += 1
         acc["s"] += duration
         acc["self_s"] += self_s
         acc["removed"] += stats.get("removed", 0)
         acc["max_dim"] = max(acc["max_dim"], stats.get("max_dim", 0))
         acc["flops"] += stats.get("flops", 0)
-        acc["errors"] += "error" in stats
         if spans[root_of[sid]][3] in ("method.m1", "method.m2", "method.m3"):
             if parent is None:
                 roots += duration
@@ -276,8 +271,6 @@ def layer_metrics(spans, overhead_s):
             value = overhead_s
         elif layer == "trace.m1_m3_coverage":
             value = covered / roots if roots else 0.0
-        elif stat == "ok_ratio":
-            value = (acc["calls"] - acc["errors"]) / acc["calls"] if acc else 0.0
         else:
             value = acc.get(stat, 0)
         metrics[per_layer_name(layer, stat)] = {"value": value, "unit": unit}
