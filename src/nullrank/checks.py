@@ -129,28 +129,18 @@ def method2_norm(sys: DescriptorSystem, tol: float = 0.0, rng=None) -> MethodRes
 
     A random change of frequency variable almost surely moves every pole
     off the stability boundary, making the grid scan of
-    :func:`~nullrank.analysis.peak_gain` well defined.  Up to three maps
-    are tried, keeping the first whose remapped pencil passes a
-    regularity probe.
+    :func:`~nullrank.analysis.peak_gain` well defined.  One map is drawn and
+    probed for regularity once: a map with ``a*d - b*c != 0`` keeps a
+    regular pencil regular, so a redraw could only repeat a failed probe.
     """
     start = time.perf_counter()
     rng = np.random.default_rng(rng)
-    cand = None
-    for _ in range(3):
-        mapped = bilinear(sys, random_bilinear_map(rng))
-        if is_regular(mapped, tol):
-            cand = mapped
-            break
-    if cand is None:
-        return MethodResult(
-            2,
-            False,
-            {},
-            time.perf_counter() - start,
-            "no regular realization after 3 variable changes",
-        )
+    mapped = bilinear(sys, random_bilinear_map(rng))
+    if not is_regular(mapped, tol):
+        note = "is_regular probe failed on the remapped pencil"
+        return MethodResult(2, False, {}, time.perf_counter() - start, note)
     try:
-        gain = peak_gain(cand, tol, rng=rng)
+        gain = peak_gain(mapped, tol, rng=rng)
     except PoleEvaluationError as exc:
         return MethodResult(2, False, {}, time.perf_counter() - start, str(exc))
     thresh = tol if tol > 0.0 else math.sqrt(EPS)
@@ -188,17 +178,19 @@ def _evaluate_dodging_poles(sys, sample, tol, redraw_tag):
     """
     responses = []
     for lam in sample.values:
-        resp = None
-        redraws = np.random.default_rng([sample.seed, redraw_tag]).uniform(size=5)
-        for cand in (lam, *redraws):
+        try:
+            responses.append(evalfr(sys, lam, rtol=tol))
+            continue
+        except PoleEvaluationError:
+            pass
+        for cand in np.random.default_rng([sample.seed, redraw_tag]).uniform(size=5):
             try:
-                resp = evalfr(sys, cand, rtol=tol)
+                responses.append(evalfr(sys, cand, rtol=tol))
+                break
             except PoleEvaluationError:
                 continue
-            break
-        if resp is None:
+        else:
             raise PoleEvaluationError("could not find non-pole frequency")
-        responses.append(resp)
     return responses
 
 
@@ -236,6 +228,16 @@ def method5_pencil(sys: DescriptorSystem, tol: float = 0.0, samples: FrequencySa
     return MethodResult(5, r == 0, evidence, time.perf_counter() - start)
 
 
+# Method k as fn(sys, tol, subseed, sample_count, distribution).
+_METHODS = {
+    1: lambda sys, tol, seed, *sample: method1_minreal(sys, tol),
+    2: lambda sys, tol, seed, *sample: method2_norm(sys, tol, rng=seed),
+    3: lambda sys, tol, seed, *sample: method3_nrank(sys, tol),
+    4: lambda sys, tol, seed, *sample: method4_freq(sys, tol, draw_frequencies(seed, *sample)),
+    5: lambda sys, tol, seed, *sample: method5_pencil(sys, tol, draw_frequencies(seed, *sample)),
+}
+
+
 def check_nullrank(
     sys: DescriptorSystem,
     methods=(1, 2, 3, 4, 5),
@@ -268,23 +270,13 @@ def check_nullrank(
         rather than aborting the sweep.
     """
     requested = sorted(set(methods))
-    if not requested or not set(requested) <= {1, 2, 3, 4, 5}:
+    if not requested or not set(requested) <= set(_METHODS):
         raise ValueError(f"methods must be a non-empty subset of 1..5, got {methods!r}")
     results = []
     for k in requested:
-        subseed = seed * 8 + k
         start = time.perf_counter()
         try:
-            if k == 1:
-                res = method1_minreal(sys, tol)
-            elif k == 2:
-                res = method2_norm(sys, tol, rng=subseed)
-            elif k == 3:
-                res = method3_nrank(sys, tol)
-            elif k == 4:
-                res = method4_freq(sys, tol, draw_frequencies(subseed, sample_count, distribution))
-            else:
-                res = method5_pencil(sys, tol, draw_frequencies(subseed, sample_count, distribution))
+            res = _METHODS[k](sys, tol, seed * 8 + k, sample_count, distribution)
         except Exception as exc:  # pragma: no cover - defensive catch-all
             res = MethodResult(
                 k, False, {}, time.perf_counter() - start, f"error: {exc}"

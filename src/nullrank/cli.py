@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from .bench import render_report, run_benchmark
-from .checks import check_nullrank, draw_frequencies, method5_pencil
+from .checks import check_nullrank
 from .dssfile import read_system
 
 
@@ -109,8 +109,7 @@ def _run_rank(args):
     sys_ = _load(args.file)
     if sys_ is None:
         return 2
-    samples = draw_frequencies(args.seed * 8 + 5, args.samples)
-    res = method5_pencil(sys_, args.tol, samples)
+    res = check_nullrank(sys_, (5,), tol=args.tol, seed=args.seed, sample_count=args.samples)[0]
     print(res.evidence["estimated_rank"])
     return 0
 

@@ -313,10 +313,6 @@ def remove_nondynamic(sys: DescriptorSystem, tol: float = 0.0, *, return_transfo
         means the realization is improper or not reduced.
     """
     n = sys.n
-    if n == 0:
-        if return_transforms:
-            return sys, 0, np.eye(0), np.eye(0)
-        return sys, 0
     tol = _anchored_tol(tol, sys.A, sys.E)
     U, sigma, Vt = np.linalg.svd(sys.E)
     r = int(np.count_nonzero(sigma > tol))

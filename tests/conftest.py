@@ -1,6 +1,14 @@
 """Shared fixtures and generators for the test suite."""
 
-import numpy as np
+import os
+
+# One BLAS thread, set before numpy loads BLAS.  perfbench/threads.py measured
+# two threads 1.8-2.5x slower on these small matrices, with no verdict change.
+# A value the caller already exported still wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from nullrank import CONTINUOUS, DISCRETE, DescriptorSystem

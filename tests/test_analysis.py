@@ -1,11 +1,15 @@
 """Point evaluation, variable substitution, and boundary gain scans."""
 
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from nullrank import DISCRETE, PoleEvaluationError, make_system
+from nullrank import CONTINUOUS, DISCRETE, PoleEvaluationError, make_system
 from nullrank.analysis import (
     BilinearMap,
+    _boundary_grid,
     bilinear,
     evalfr,
     peak_gain,
@@ -155,3 +159,82 @@ def test_peak_gain_raises_when_no_point_is_evaluable():
                       [[0.0]])
     with pytest.raises(PoleEvaluationError):
         peak_gain(sys)
+
+
+def _reference_evalfr(sys, lam, rtol=0.0):
+    """The scipy-wrapper evaluation that evalfr's LAPACK calls must match."""
+    if sys.n == 0:
+        return sys.D.astype(complex)
+    lam = complex(lam)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(lam * sys.E - sys.A)
+    diag = np.abs(np.diag(lu))
+    cut = rtol if rtol > 0.0 else 16.0 * sys.n * np.finfo(float).eps
+    if diag.max() == 0.0 or diag.min() <= cut * diag.max():
+        raise PoleEvaluationError(f"evaluation at a pole (lam = {lam})")
+    return sys.D + sys.C @ scipy.linalg.lu_solve((lu, piv), sys.B.astype(complex))
+
+
+def _reference_peak_gain(sys, tol, seed):
+    best = None
+    for lam in _boundary_grid(sys, 200, np.random.default_rng(seed)):
+        try:
+            resp = _reference_evalfr(sys, lam, tol)
+        except PoleEvaluationError:
+            continue
+        gain = np.linalg.svd(resp, compute_uv=False)[0] if resp.size else 0.0
+        best = gain if best is None else max(best, gain)
+    return float(best)
+
+
+def _with_pole_on_boundary(rng, timing):
+    # a pole at s = 0 or z = 1, which is the first grid point of the scan
+    sys = random_system(rng, n=5, m=2, p=3, timing=timing)
+    A = sys.A.copy()
+    A[:, 0] = sys.E[:, 0] * (1.0 if timing == DISCRETE else 0.0)
+    return make_system(A, sys.E, sys.B, sys.C, sys.D, timing)
+
+
+@pytest.mark.parametrize("case", ["continuous", "discrete", "continuous pole", "discrete pole"])
+def test_evalfr_and_peak_gain_bit_identical_to_scipy_wrappers(rng, case):
+    timing = DISCRETE if case.startswith("discrete") else CONTINUOUS
+    for k in range(5):
+        if case.endswith("pole"):
+            sys = _with_pole_on_boundary(rng, timing)
+            first = _boundary_grid(sys, 200, np.random.default_rng(k))[0]
+            with pytest.raises(PoleEvaluationError):
+                _reference_evalfr(sys, first, 1e-7)
+            with pytest.raises(PoleEvaluationError):
+                evalfr(sys, first, rtol=1e-7)
+        else:
+            sys = random_system(rng, n=int(rng.integers(1, 40)), timing=timing)
+        lam = complex(rng.standard_normal(), rng.standard_normal())
+        got = evalfr(sys, lam)
+        assert got.dtype == complex
+        assert np.array_equal(got, _reference_evalfr(sys, lam))
+        assert peak_gain(sys, 1e-7, rng=k) == _reference_peak_gain(sys, 1e-7, k)
+
+
+@pytest.mark.parametrize("n, m, p", [(3, 0, 2), (3, 2, 0), (0, 2, 2), (0, 0, 0)])
+def test_evalfr_and_peak_gain_on_empty_dimensions(rng, n, m, p):
+    sys = random_system(rng, n=n, m=m, p=p)
+    got = evalfr(sys, 0.5j)
+    assert got.shape == (p, m) and got.dtype == complex
+    assert np.array_equal(got, _reference_evalfr(sys, 0.5j))
+    if p and m:
+        assert peak_gain(sys) == _reference_peak_gain(sys, 0.0, 0)
+    else:
+        assert peak_gain(sys) == 0.0
+
+
+def test_evalfr_rejects_non_finite_shifts(rng):
+    sys = random_system(rng, n=3)
+    big = make_system(sys.A, 1e300 * np.eye(3), sys.B, sys.C, sys.D)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            evalfr(sys, np.inf)
+        with pytest.raises(ValueError):
+            evalfr(sys, complex(np.nan, 0.0))
+        with pytest.raises(ValueError):
+            evalfr(big, 1e10)  # lam*E overflows to inf

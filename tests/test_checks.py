@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from nullrank import check_nullrank, make_system, subtract
+from nullrank.analysis import evalfr
 from nullrank.checks import (
     FrequencySampleSet,
     MethodResult,
+    _evaluate_dodging_poles,
     draw_frequencies,
     method1_minreal,
     method2_norm,
@@ -114,6 +116,10 @@ def test_method4_steps_off_poles_deterministically(rng):
     assert res.diagnostics == ""
     assert not res.is_null  # 1/(lam - lam0) is certainly not zero
     assert res.evidence == again.evidence
+    # the fallback is the first of five draws seeded by (sample seed, tag)
+    redraw = np.random.default_rng([5, 0x9A17]).uniform(size=5)[0]
+    [resp] = _evaluate_dodging_poles(sys, sample, 1e-12, 0x9A17)
+    assert np.array_equal(resp, evalfr(sys, redraw, rtol=1e-12))
 
 
 def test_method5_works_at_tol_zero(rng):
@@ -171,9 +177,10 @@ def test_check_nullrank_method_streams_are_independent(rng):
 
 def test_check_nullrank_survives_degenerate_input():
     sys = make_system([[0.0]], [[0.0]], [[1.0]], [[1.0]], [[0.0]])
-    results = check_nullrank(sys, methods=(1, 3))
+    results = check_nullrank(sys, methods=(1, 2, 3))
     assert all(not r.is_null for r in results)
     assert results[0].diagnostics != ""
+    assert "is_regular" in results[1].diagnostics
 
 
 def test_check_nullrank_sample_count_flows_to_sampling_methods(rng):

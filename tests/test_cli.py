@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from nullrank import make_system
+from nullrank import checks, make_system
+from nullrank.checks import check_nullrank, draw_frequencies
 from nullrank.cli import main
-from nullrank.dssfile import write_system
+from nullrank.dssfile import read_system, write_system
 
 from conftest import random_system
 
@@ -70,6 +71,26 @@ def test_rank_prints_an_integer(nonzero_file, zero_file, capsys):
     assert first == "2"  # generic 2 x 2 response has full rank
     assert main(["rank", zero_file]) == 0
     assert capsys.readouterr().out.strip() == "0"
+
+
+def test_rank_samples_the_points_of_method5(tmp_path, rng, capsys, monkeypatch):
+    # rank 1 response; `rank` must sample where check's method 5 samples
+    sys = random_system(rng, n=4, m=3, p=3)
+    B = sys.B[:, :1] @ np.ones((1, 3))
+    D = sys.D[:, :1] @ np.ones((1, 3))
+    path = tmp_path / "rank1.dss"
+    write_system(make_system(sys.A, sys.E, B, sys.C, D), path)
+    seeds = []
+
+    def spy(seed, count=1, distribution="real"):
+        seeds.append(seed)
+        return draw_frequencies(seed, count, distribution)
+
+    monkeypatch.setattr(checks, "draw_frequencies", spy)
+    assert main(["rank", str(path), "--seed", "3", "--samples", "2"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    check_nullrank(read_system(path), (5,), seed=3, sample_count=2)
+    assert seeds == [3 * 8 + 5, 3 * 8 + 5]
 
 
 def test_rank_is_seed_deterministic(nonzero_file, capsys):
