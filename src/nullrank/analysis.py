@@ -125,7 +125,10 @@ def evalfr(sys: DescriptorSystem, lam, rtol: float = 0.0) -> np.ndarray:
     ValueError
         If ``lam*E - A`` has a non-finite entry (infinite ``lam``, overflow).
     """
-    return _response(sys, sys.B.astype(complex), lam, rtol)
+    # An infinite or overflowing shift is caught by the finiteness check
+    # in _response; numpy need not warn while forming it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _response(sys, sys.B.astype(complex), lam, rtol)
 
 
 def bilinear(sys: DescriptorSystem, bmap: BilinearMap) -> DescriptorSystem:
@@ -202,11 +205,12 @@ def peak_gain(sys: DescriptorSystem, tol: float = 0.0, grid_size: int = 200, rng
     rng = np.random.default_rng(0 if rng is None else rng)
     B = sys.B.astype(complex)
     responses = []
-    for lam in _boundary_grid(sys, grid_size, rng):
-        try:
-            responses.append(_response(sys, B, lam, tol))
-        except PoleEvaluationError:
-            continue
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lam in _boundary_grid(sys, grid_size, rng):
+            try:
+                responses.append(_response(sys, B, lam, tol))
+            except PoleEvaluationError:
+                continue
     if not responses:
         raise PoleEvaluationError("every grid point lies on a pole")
     if sys.p == 0 or sys.m == 0:

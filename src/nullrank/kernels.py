@@ -22,6 +22,7 @@ __all__ = [
     "generalized_eigenvalues",
     "rank_svd",
     "rank_threshold",
+    "row_basis",
     "row_compress",
 ]
 
@@ -85,6 +86,25 @@ def row_compress(mat, tol: float = 0.0):
     k = int(np.count_nonzero(sigma > rank_threshold(sigma, mat.shape, tol)))
     compressed = sigma[:k, None] * Vt[:k, :]
     return U, compressed, k
+
+
+def row_basis(mat, tol: float = 0.0, shape=None):
+    """Orthonormal basis of the numerical range of ``mat``.
+
+    Returns ``(U, rank)`` with ``U`` the ``rank`` leading left singular
+    vectors (thin).  ``shape`` is what the threshold rule sees, by default
+    ``mat.shape``.  A caller that hands in a projection ``P @ X``, with
+    ``P`` an orthogonal projector of rank ``q < len(P)``, passes the
+    ``(q, X.shape[1])`` of the block it stands for: both share their
+    nonzero singular values, and the rank is capped at ``min(shape)``.
+    """
+    mat = np.asarray(mat, dtype=float)
+    shape = mat.shape if shape is None else shape
+    if mat.size == 0:
+        return np.zeros((mat.shape[0], 0)), 0
+    U, sigma, _ = _svd(mat, full_matrices=False)
+    k = min(int(np.count_nonzero(sigma > rank_threshold(sigma, shape, tol))), *shape)
+    return U[:, :k], k
 
 
 def col_compress(mat, tol: float = 0.0):

@@ -10,9 +10,13 @@ under the single tolerance rule from :mod:`nullrank.kernels`:
   row rank part, a regular square core, and a full column rank part,
   from which the normal rank of the pencil can be read off.
 
-Everything uses plain dense orthogonal transformations; the aim is
-maximal transparency and reliability at moderate order, not large-scale
-performance.
+Everything uses dense orthogonal transformations.  The finite stairs of
+the controllability staircase (and so of its dual and of the minimal
+realization) are decided on projections onto two growing orthonormal
+bases, with one triangular solve per stair and no re-triangularization:
+``O(n^3)`` in all.  The bases are completed and applied once, only when
+states are removed.  :func:`kronecker_like` still takes the SVD of the
+whole trailing block at every stair, ``O(n^4)`` in the worst case.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
 
 from .core import DescriptorSystem, LinearPencil, transpose
 from .errors import ReductionError
-from .kernels import EPS, col_compress, rank_svd, row_compress
+from .kernels import EPS, col_compress, rank_svd, row_basis, row_compress
 
 __all__ = [
     "KroneckerStructure",
@@ -103,6 +108,20 @@ def _anchored_tol(tol, *mats):
     dim = max([1, *(max(mat.shape) for mat in mats if mat.size)])
     scale = max([0.0, *(np.linalg.norm(mat) for mat in mats if mat.size)])
     return dim * dim * EPS * scale
+
+
+def _orthonormal(W, cols):
+    """Leading ``cols`` columns of the orthogonal factor of ``W = Q R``.
+
+    With ``cols = W.shape[1]`` and ``W`` of full column rank this is an
+    orthonormal basis of ``range(W)``; with ``cols = len(W)`` it is that
+    basis completed to an orthogonal matrix.  LAPACK is called directly
+    because the wrappers' overhead dominates at the small widths here.
+    """
+    qr, tau = dgeqrf(W)[:2]
+    full = np.zeros((len(W), cols), order="F")
+    full[:, : W.shape[1]] = qr
+    return dorgqr(full, tau)[0]
 
 
 def _ctrb_reduce(sys: DescriptorSystem, tol: float):
@@ -184,56 +203,71 @@ def _ctrb_reduce(sys: DescriptorSystem, tol: float):
         j += w
     ninf = j
 
-    # Pass 3: staircase on the finite trailing block.  Its E is kept
-    # upper triangular so that the sub-diagonal coupling blocks of A are
-    # the constant "inputs" of each successive stair.
+    # Pass 3: staircase on the finite trailing block, E_f = Qe R with R
+    # upper triangular and nonsingular.  Working in the rows of Qe, grow
+    # an orthonormal basis U of the equations reached so far and one, Z,
+    # of the states with R Z in span U (Z = orth(R^-1 U)).  Stair k is
+    # U_perp.T A Z_new, with Z_new the states added at stair k - 1 (the
+    # first stair is B_f).  Its singular values depend only on span U and
+    # span Z_new, which the earlier rank decisions fix, not on the bases
+    # chosen for them: a dense staircase that transforms the whole block
+    # and re-triangularizes E after every stair sees the same values up
+    # to rounding.  So each stair is decided on the projection
+    # (I - U U.T) A Z_new at O(nf^2 nu), O(nf^3) in all, and the block is
+    # transformed once at the end, only if states are removed.
     nf = n2 - ninf
-    kept_f = nf
+    kept = n2
     if nf > 0:
         sl = slice(ninf, n2)
-        Qe, Re = scipy.linalg.qr(E[sl, sl])
-        A[sl, :] = Qe.T @ A[sl, :]
-        B[sl, :] = Qe.T @ B[sl, :]
-        E[sl, sl] = Re
-        Q[:, sl] = Q[:, sl] @ Qe
+        Qe, R = scipy.linalg.qr(E[sl, sl])
+        R = np.asfortranarray(R)
+        Af = Qe.T @ A[sl, sl]
+        stair = Qe.T @ B[sl, :]
+        U = np.empty((nf, nf))
+        Zf = np.empty((nf, nf))
         k = 0
-        prev = 0  # width of the previous stair
-        while k < nf:
+        while True:
             rem = nf - k
-            o = ninf + k
-            stair = B[o:n2, :] if k == 0 else A[o:n2, o - prev : o]
-            U, _, nu = row_compress(stair, tol)
+            Un, nu = row_basis(stair, tol, (rem, stair.shape[1]))
             if nu == rem:
                 k = nf
                 break
             if nu == 0:
                 break
-            A[o:n2, :] = U.T @ A[o:n2, :]
-            E[o:n2, o:n2] = U.T @ E[o:n2, o:n2]
-            if k == 0:
-                B[o:n2, :] = U.T @ B[o:n2, :]
-                B[o + nu : n2, :] = 0.0
-            else:
-                A[o + nu : n2, o - prev : o] = 0.0
-            Q[:, o:n2] = Q[:, o:n2] @ U
-            # Left-multiplying spoiled the triangular form of the
-            # trailing block of E; restore it from the right.
-            Rt, Zt = scipy.linalg.rq(E[o:n2, o:n2])
-            E[o:n2, o:n2] = Rt
-            E[:o, o:n2] = E[:o, o:n2] @ Zt.T
-            A[:, o:n2] = A[:, o:n2] @ Zt.T
-            C[:, o:n2] = C[:, o:n2] @ Zt.T
-            Z[:, o:n2] = Z[:, o:n2] @ Zt.T
-            prev = nu
+            U[:, k : k + nu] = Un
+            W, info = dtrtrs(R, Un)
+            if info:
+                raise ReductionError("pole pencil is numerically singular")
+            # Two Gram-Schmidt passes ("twice is enough"): the second
+            # restores the orthogonality that cancellation in the first
+            # can lose when R is far from orthogonal.
+            for _ in range(2):
+                W -= Zf[:, :k] @ (Zf[:, :k].T @ W)
+            Zn = _orthonormal(W, nu)
+            Zf[:, k : k + nu] = Zn
             k += nu
-        kept_f = k
-
-    kept = ninf + kept_f
-    if kept < n2:
-        A = A[:kept, :kept]
-        E = E[:kept, :kept]
-        B = B[:kept, :]
-        C = C[:, :kept]
+            stair = Af @ Zn
+            for _ in range(2):
+                stair -= U[:, :k] @ (U[:, :k].T @ stair)
+        if k < nf:
+            # Complete both bases to orthogonal matrices; the kept part
+            # leads, and what is dropped below it is the rounding residue
+            # and the sub-threshold stair.
+            L = Qe @ _orthonormal(U[:, :k], nf)
+            Zf = _orthonormal(Zf[:, :k], nf)
+            A[sl, :] = L.T @ A[sl, :]
+            E[sl, :] = L.T @ E[sl, :]
+            B[sl, :] = L.T @ B[sl, :]
+            Q[:, sl] = Q[:, sl] @ L
+            A[:, sl] = A[:, sl] @ Zf
+            E[:, sl] = E[:, sl] @ Zf
+            C[:, sl] = C[:, sl] @ Zf
+            Z[:, sl] = Z[:, sl] @ Zf
+            kept = ninf + k
+            A = A[:kept, :kept]
+            E = E[:kept, :kept]
+            B = B[:kept, :]
+            C = C[:, :kept]
 
     removed_fin = n2 - kept
     out = DescriptorSystem(A, E, B, C, sys.D, sys.timing)
@@ -272,9 +306,7 @@ def ctrb_staircase(sys: DescriptorSystem, tol: float = 0.0, *, return_transforms
         If the rank decisions expose a singular pole pencil.
     """
     out, removed, Q, Z = _ctrb_reduce(sys, tol)
-    if return_transforms:
-        return out, removed, Q, Z
-    return out, removed
+    return (out, removed, Q, Z) if return_transforms else (out, removed)
 
 
 def obsv_staircase(sys: DescriptorSystem, tol: float = 0.0, *, return_transforms=False):
@@ -285,10 +317,8 @@ def obsv_staircase(sys: DescriptorSystem, tol: float = 0.0, *, return_transforms
     """
     red, removed, Qt, Zt = _ctrb_reduce(transpose(sys), tol)
     out = transpose(red)
-    if return_transforms:
-        # The transforms swap roles under transposition.
-        return out, removed, Zt, Qt
-    return out, removed
+    # The transforms swap roles under transposition.
+    return (out, removed, Zt, Qt) if return_transforms else (out, removed)
 
 
 def remove_nondynamic(sys: DescriptorSystem, tol: float = 0.0, *, return_transforms=False):
@@ -317,32 +347,29 @@ def remove_nondynamic(sys: DescriptorSystem, tol: float = 0.0, *, return_transfo
     U, sigma, Vt = np.linalg.svd(sys.E)
     r = int(np.count_nonzero(sigma > tol))
     if r == n:
-        if return_transforms:
-            return sys, 0, np.eye(n), np.eye(n)
-        return sys, 0
-    V = Vt.T
-    Ab = U.T @ sys.A @ V
-    Bb = U.T @ sys.B
-    Cb = sys.C @ V
-    A11, A12 = Ab[:r, :r], Ab[:r, r:]
-    A21, A22 = Ab[r:, :r], Ab[r:, r:]
-    B1, B2 = Bb[:r, :], Bb[r:, :]
-    C1, C2 = Cb[:, :r], Cb[:, r:]
-    if rank_svd(A22, tol) < n - r:
-        raise ReductionError("improper or non-reduced realization")
-    X = scipy.linalg.solve(A22, np.hstack([A21, B2]))
-    XA, XB = X[:, :r], X[:, r:]
-    out = DescriptorSystem(
-        A11 - A12 @ XA,
-        np.diag(sigma[:r]),
-        B1 - A12 @ XB,
-        C1 - C2 @ XA,
-        sys.D - C2 @ XB,
-        sys.timing,
-    )
-    if return_transforms:
-        return out, n - r, U, V
-    return out, n - r
+        out, U, V = sys, np.eye(n), np.eye(n)
+    else:
+        V = Vt.T
+        Ab = U.T @ sys.A @ V
+        Bb = U.T @ sys.B
+        Cb = sys.C @ V
+        A11, A12 = Ab[:r, :r], Ab[:r, r:]
+        A21, A22 = Ab[r:, :r], Ab[r:, r:]
+        B1, B2 = Bb[:r, :], Bb[r:, :]
+        C1, C2 = Cb[:, :r], Cb[:, r:]
+        if rank_svd(A22, tol) < n - r:
+            raise ReductionError("improper or non-reduced realization")
+        X = scipy.linalg.solve(A22, np.hstack([A21, B2]))
+        XA, XB = X[:, :r], X[:, r:]
+        out = DescriptorSystem(
+            A11 - A12 @ XA,
+            np.diag(sigma[:r]),
+            B1 - A12 @ XB,
+            C1 - C2 @ XA,
+            sys.D - C2 @ XB,
+            sys.timing,
+        )
+    return (out, n - r, U, V) if return_transforms else (out, n - r)
 
 
 def minimal_realization(sys: DescriptorSystem, tol: float = 0.0):

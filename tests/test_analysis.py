@@ -231,10 +231,14 @@ def test_evalfr_and_peak_gain_on_empty_dimensions(rng, n, m, p):
 def test_evalfr_rejects_non_finite_shifts(rng):
     sys = random_system(rng, n=3)
     big = make_system(sys.A, 1e300 * np.eye(3), sys.B, sys.C, sys.D)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning may escape
         with pytest.raises(ValueError):
             evalfr(sys, np.inf)
         with pytest.raises(ValueError):
             evalfr(sys, complex(np.nan, 0.0))
         with pytest.raises(ValueError):
             evalfr(big, 1e10)  # lam*E overflows to inf
+        huge = make_system(sys.A, 1e305 * np.eye(3), sys.B, sys.C, sys.D)
+        with pytest.raises(ValueError):
+            peak_gain(huge)  # overflows at the top of the frequency grid

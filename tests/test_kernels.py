@@ -10,6 +10,7 @@ from nullrank.kernels import (
     generalized_eigenvalues,
     rank_svd,
     rank_threshold,
+    row_basis,
     row_compress,
 )
 
@@ -53,6 +54,24 @@ def test_row_compress_layout_and_orthogonality():
         assert np.linalg.norm(resid[rank:, :]) <= 1e-12 * max(
             1.0, np.linalg.norm(M)
         )
+        # the thin basis makes the same decision and spans the kept rows
+        basis, thin_rank = row_basis(M, 0.0)
+        assert thin_rank == rank and basis.shape == (q, rank)
+        assert np.allclose(basis.T @ U[:, :rank] @ U[:, :rank].T @ basis, np.eye(rank))
+
+
+def test_row_basis_judges_a_projection_by_the_block_it_stands_for():
+    # P @ X with P projecting onto 2 of 5 coordinates stands for the 2 x 3
+    # block X[3:]: the threshold sees that shape and the rank is capped by it
+    X = np.diag([1.0, 1.0, 1.0, 0.0, 0.0])[:, :3] + np.vstack([np.zeros((3, 3)), np.ones((2, 3))])
+    P = np.diag([0.0, 0.0, 0.0, 1.0, 1.0])
+    basis, rank = row_basis(P @ X, 0.0, (2, 3))
+    assert rank == 1 and np.allclose(np.abs(basis[3:, 0]), np.sqrt(0.5))
+    noisy = P @ X + 1e-15 * np.eye(5, 3)
+    assert row_basis(noisy, 1e-17, (2, 3))[1] == 2
+    assert row_basis(noisy, 1e-17)[1] == 3
+    basis, rank = row_basis(np.zeros((4, 0)), 1.0)
+    assert basis.shape == (4, 0) and rank == 0
 
 
 def test_col_compress_puts_kernel_columns_first():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from nullrank import ReductionError, make_system, subtract, transpose
 from nullrank.analysis import evalfr
@@ -104,17 +105,120 @@ def test_ctrb_result_is_controllable_by_pbh(rng):
 def test_ctrb_transforms_reconstruct_the_reduction(rng):
     sys = random_system(rng, n=5, m=2, p=2)
     red, removed, Q, Z = ctrb_staircase(sys, return_transforms=True)
+    _assert_deflation(sys, red, removed, Q, Z)
+
+
+def _with_uncontrollable_part(rng, nc, nu, m=2, p=2, ninf=0):
+    """Scrambled realization with ``nu`` unreachable finite states.
+
+    In split coordinates the states are ``ninf`` non-dynamic ones fed
+    straight by the inputs (needs ``ninf <= m``), ``nc`` reachable finite
+    ones and ``nu`` unreachable finite ones::
+
+        E = [0  0    0  ]   A = [Aii  Aic  Aiu]   B = [Bi]
+            [0  E11  E12]       [0    A11  A12]       [Bc]
+            [0  0    E22]       [0    0    A22]       [0 ]
+
+    ``E11``, ``E22`` are upper triangular with diagonals in [1, 2] and a
+    small strict upper part, so ``E`` restricted to the finite states is
+    nonsingular, well conditioned and not the identity.  ``A11`` is upper
+    Hessenberg with subdiagonal entries of magnitude at least 1 over a
+    smaller upper part, and ``Bc`` has a multiple of ``e1`` as its first
+    column, so every stair of the reachable part is well above the rank
+    threshold.
+    """
+    n = ninf + nc + nu
+    i, c, u = slice(0, ninf), slice(ninf, ninf + nc), slice(ninf + nc, n)
+    E = np.zeros((n, n))
+    E[c, c.start :] = np.triu(rng.standard_normal((nc, nc + nu)), 1) / n
+    E[u, u] = np.triu(rng.standard_normal((nu, nu)), 1) / n
+    idx = np.arange(ninf, n)
+    E[idx, idx] = 1.0 + rng.random(nc + nu)
+    A = np.zeros((n, n))
+    A[i, :] = rng.standard_normal((ninf, n))
+    A[i, i] += 3.0 * np.eye(ninf)
+    A[c, c] = np.triu(rng.standard_normal((nc, nc)), k=-1) / np.sqrt(nc)
+    sub = np.arange(nc - 1)
+    A[ninf + sub + 1, ninf + sub] = rng.choice([-1.0, 1.0], nc - 1) * (1.0 + rng.random(nc - 1))
+    A[c, u] = rng.standard_normal((nc, nu))
+    A[u, u] = rng.standard_normal((nu, nu))
+    B = np.zeros((n, m))
+    B[i, :] = rng.standard_normal((ninf, m)) + np.eye(ninf, m)
+    B[c, :] = rng.standard_normal((nc, m))
+    B[c, 0] = 0.0
+    B[ninf, 0] = 1.0 + rng.random()
+    Q = haar_orthogonal(rng, n)
+    Z = haar_orthogonal(rng, n)
+    return make_system(Q @ A @ Z.T, Q @ E @ Z.T, Q @ B, rng.standard_normal((p, n)) @ Z.T,
+                       rng.standard_normal((p, m)))
+
+
+def _assert_deflation(sys, red, removed, Q, Z):
+    """``Q``, ``Z`` are orthogonal and expose ``red`` as the kept block."""
     n = sys.n
-    dim_err = 1e-13 * n
-    assert np.linalg.norm(Q.T @ Q - np.eye(n)) <= dim_err
-    assert np.linalg.norm(Z.T @ Z - np.eye(n)) <= dim_err
     kept = red.n
+    assert kept + removed == n
+    assert np.linalg.norm(Q.T @ Q - np.eye(n)) <= 1e-13 * n
+    assert np.linalg.norm(Z.T @ Z - np.eye(n)) <= 1e-13 * n
     At = Q.T @ sys.A @ Z
     Et = Q.T @ sys.E @ Z
-    scale = max(1.0, np.linalg.norm(sys.A), np.linalg.norm(sys.E))
+    Bt = Q.T @ sys.B
+    scale = max(1.0, *(np.linalg.norm(mat) for mat in (sys.A, sys.E, sys.B)))
+    assert np.linalg.norm(At[kept:, :kept]) <= 1e-12 * scale
+    assert np.linalg.norm(Et[kept:, :kept]) <= 1e-12 * scale
+    assert np.linalg.norm(Bt[kept:]) <= 1e-12 * scale
     assert np.linalg.norm(At[:kept, :kept] - red.A) <= 1e-12 * scale
     assert np.linalg.norm(Et[:kept, :kept] - red.E) <= 1e-12 * scale
-    assert np.linalg.norm((Q.T @ sys.B)[:kept] - red.B) <= 1e-12 * scale
+    assert np.linalg.norm(Bt[:kept] - red.B) <= 1e-12 * scale
+    assert np.linalg.norm((sys.C @ Z)[:, :kept] - red.C) <= 1e-12 * max(1.0, np.linalg.norm(sys.C))
+
+
+@pytest.mark.parametrize("ninf", [0, 2], ids=["nonsingular E", "singular E"])
+def test_ctrb_deflates_a_known_uncontrollable_part(rng, ninf):
+    for nc, nu in [(1, 1), (4, 3), (9, 5), (12, 7)]:
+        sys = _with_uncontrollable_part(rng, nc, nu, ninf=ninf)
+        assert rank_svd(sys.E) == nc + nu
+        red, removed, Q, Z = ctrb_staircase(sys, 1e-7, return_transforms=True)
+        assert removed == nu
+        _assert_deflation(sys, red, removed, Q, Z)
+        _transfer_close(sys, red, rng)
+
+
+def test_ctrb_judges_a_stair_on_the_new_states_only():
+    # R^-1 e2 = (-1e3, 1, 0) lies almost along the first state; the third
+    # stair is 1e-5 (above tol) on the part orthogonal to that state, but
+    # only 1e-8 on the normalized R^-1 e2 itself.
+    E = np.array([[1.0, 1e3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    A = np.array([[0.5, 0.0, 0.0], [1.0, 0.5, 0.0], [0.0, 1e-5, 0.5]])
+    sys = make_system(A, E, [[1.0], [0.0], [0.0]], [[0.0, 0.0, 1.0]], [[0.0]])
+    red, removed = ctrb_staircase(sys, 1e-7)
+    assert removed == 0 and red.n == 3
+
+
+def test_staircases_remove_everything_without_inputs_or_outputs(rng):
+    for n in (1, 3, 8):
+        sys = random_system(rng, n=n, m=0, p=2)
+        red, removed, Q, Z = ctrb_staircase(sys, return_transforms=True)
+        assert removed == n and red.n == 0 and red.B.shape == (0, 0)
+        _assert_deflation(sys, red, removed, Q, Z)
+        sys = random_system(rng, n=n, m=2, p=0)
+        red, removed = obsv_staircase(sys)
+        assert removed == n and red.n == 0 and red.C.shape == (0, 0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    nc=st.integers(1, 8),
+    nu=st.integers(0, 4),
+    m=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ctrb_removes_exactly_the_built_uncontrollable_part(nc, nu, m, seed):
+    rng = np.random.default_rng(seed)
+    sys = _with_uncontrollable_part(rng, nc, nu, m=m, ninf=min(m, 12 - nc - nu, 1))
+    red, removed = ctrb_staircase(sys, 1e-7)
+    assert removed == nu
+    _transfer_close(sys, red, rng)
 
 
 def test_ctrb_is_idempotent(rng):
