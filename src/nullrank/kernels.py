@@ -20,6 +20,7 @@ __all__ = [
     "EPS",
     "col_compress",
     "generalized_eigenvalues",
+    "pair_kernel",
     "rank_svd",
     "rank_threshold",
     "row_basis",
@@ -105,6 +106,31 @@ def row_basis(mat, tol: float = 0.0, shape=None):
     U, sigma, _ = _svd(mat, full_matrices=False)
     k = min(int(np.count_nonzero(sigma > rank_threshold(sigma, shape, tol))), *shape)
     return U[:, :k], k
+
+
+def pair_kernel(R, X, tol: float):
+    """Combinations of the columns of ``X`` on which ``R`` is negligible.
+
+    Decides on the generalized singular values of the pair ``(R, X)``
+    (same number of columns, ``R`` with at least as many rows as
+    columns): a thin QR ``[R; X] = [Qr; Qx] T`` and an SVD
+    ``Qr = P diag(s) W.T`` give, for each direction ``w_k``, the ratio
+    ``s_k / c_k`` of ``|R v|`` to ``|X v|`` with ``v = T^-1 w_k`` and
+    ``c_k = |Qx w_k|``.  The SVD is taken of the ``R`` block because the
+    small ``s_k`` are what is decided on, and ``c_k`` close to 1 is then
+    accurate; an SVD of ``Qx`` would resolve ``s_k`` only to the square
+    root of the rounding level.
+
+    Returns ``(K, small)``: ``K = X v`` for every direction, ordered from
+    the smallest ratio up, and how many directions have ``s_k <= tol c_k``.
+    """
+    Qs = np.linalg.qr(np.vstack([R, X]))[0]
+    Qr, Qx = Qs[: len(R)], Qs[len(R) :]
+    _, s, Wt = _svd(Qr, full_matrices=False)
+    W = Wt[::-1].T
+    K = Qx @ W
+    small = int(np.count_nonzero(s[::-1] <= tol * np.linalg.norm(K, axis=0)))
+    return K, small
 
 
 def col_compress(mat, tol: float = 0.0):

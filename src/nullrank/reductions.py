@@ -15,8 +15,10 @@ the controllability staircase (and so of its dual and of the minimal
 realization) are decided on projections onto two growing orthonormal
 bases, with one triangular solve per stair and no re-triangularization:
 ``O(n^3)`` in all.  The bases are completed and applied once, only when
-states are removed.  :func:`kronecker_like` still takes the SVD of the
-whole trailing block at every stair, ``O(n^4)`` in the worst case.
+states are removed.  :func:`kronecker_like` does the same on large
+pencils: one SVD of ``N`` and thin stair decisions, ``O(n^3)``.  Small
+pencils keep the dense loop, which takes the SVD of the whole trailing
+block at every stair (``O(n^4)`` in the worst case) and is faster there.
 """
 
 from __future__ import annotations
@@ -29,7 +31,16 @@ from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
 
 from .core import DescriptorSystem, LinearPencil, transpose
 from .errors import ReductionError
-from .kernels import EPS, col_compress, rank_svd, row_basis, row_compress
+from .kernels import (
+    EPS,
+    _svd,
+    col_compress,
+    pair_kernel,
+    rank_svd,
+    rank_threshold,
+    row_basis,
+    row_compress,
+)
 
 __all__ = [
     "KroneckerStructure",
@@ -118,10 +129,24 @@ def _orthonormal(W, cols):
     basis completed to an orthogonal matrix.  LAPACK is called directly
     because the wrappers' overhead dominates at the small widths here.
     """
+    if not len(W):
+        return np.zeros((0, cols))
     qr, tau = dgeqrf(W)[:2]
     full = np.zeros((len(W), cols), order="F")
     full[:, : W.shape[1]] = qr
     return dorgqr(full, tau)[0]
+
+
+def _project_out(U, W):
+    """Remove from ``W``, in place, its part in the span of ``U``'s columns.
+
+    ``U`` has orthonormal columns.  Two Gram-Schmidt passes ("twice is
+    enough"): the second restores the orthogonality that cancellation in
+    the first loses when ``W`` lies close to that span.
+    """
+    for _ in range(2):
+        W -= U @ (U.T @ W)
+    return W
 
 
 def _ctrb_reduce(sys: DescriptorSystem, tol: float):
@@ -238,17 +263,10 @@ def _ctrb_reduce(sys: DescriptorSystem, tol: float):
             W, info = dtrtrs(R, Un)
             if info:
                 raise ReductionError("pole pencil is numerically singular")
-            # Two Gram-Schmidt passes ("twice is enough"): the second
-            # restores the orthogonality that cancellation in the first
-            # can lose when R is far from orthogonal.
-            for _ in range(2):
-                W -= Zf[:, :k] @ (Zf[:, :k].T @ W)
-            Zn = _orthonormal(W, nu)
+            Zn = _orthonormal(_project_out(Zf[:, :k], W), nu)
             Zf[:, k : k + nu] = Zn
             k += nu
-            stair = Af @ Zn
-            for _ in range(2):
-                stair -= U[:, :k] @ (U[:, :k].T @ stair)
+            stair = _project_out(U[:, :k], Af @ Zn)
         if k < nf:
             # Complete both bases to orthogonal matrices; the kept part
             # leads, and what is dropped below it is the rounding residue
@@ -403,6 +421,12 @@ def minimal_realization(sys: DescriptorSystem, tol: float = 0.0):
     return s3, report
 
 
+# Pencils whose smaller side is at least this large are extracted by the
+# projected staircase; below it the dense loop is faster (README, "Cost of
+# method 3").
+_PROJECTED_FROM = 54
+
+
 def _extract_row_structure(M, N, tol):
     """Staircase extraction of the full-row-rank part of ``M - lam*N``.
 
@@ -415,6 +439,13 @@ def _extract_row_structure(M, N, tol):
     has full row rank for every ``lam``, and the trailing ``P'`` has an
     ``N``-part of full column rank.  Returns ``(Q, Z, rows, cols)``.
     """
+    if min(M.shape) >= _PROJECTED_FROM:
+        return _projected_row_structure(M, N, tol)
+    return _dense_row_structure(M, N, tol)
+
+
+def _dense_row_structure(M, N, tol):
+    """:func:`_extract_row_structure` by an SVD of the trailing block per stair."""
     q, r = M.shape
     Q = np.eye(q)
     Z = np.eye(r)
@@ -442,6 +473,75 @@ def _extract_row_structure(M, N, tol):
     return Q, Z, i, j
 
 
+def _projected_row_structure(M, N, tol):
+    """:func:`_extract_row_structure` on projections, ``O(n^3)`` in all.
+
+    After ``i`` rows and ``j`` columns the dense loop's trailing block is
+    ``N`` restricted to ``span(V)^perp`` and seen modulo ``span(U)``, with
+    ``U`` the rows and ``V`` the columns taken so far.  Its kernel (the
+    ``x`` orthogonal to ``V`` with ``N x`` in ``span(U)``) and the rank of
+    ``M`` on that kernel depend only on the two subspaces, which the
+    earlier decisions fix, not on the bases chosen for them.  So one SVD
+    of ``N`` decides the first stair, and every later kernel is decided on
+    candidates built from the rows ``Y`` that the last stair added: a new
+    kernel vector ``x`` has ``N x`` in ``span(U)`` but not in the span of
+    the older rows, so ``N x`` is a new row corrected by old ones.
+    """
+    q, r = M.shape
+    Un, sigma, Vt = _svd(N, full_matrices=True)
+    rho = int(np.count_nonzero(sigma > rank_threshold(sigma, (q, r), tol)))
+    K = Vt[rho:].T
+    L = Un[:, rho:]
+    Np = (Vt[:rho].T / sigma[:rho]) @ Un[:, :rho].T
+    del Un, Vt
+    # G is an orthonormal basis of span(L.T U) and L.T H = G with H in
+    # span(U): subtracting H G.T L.T v from a row combination v moves it
+    # into range(N) without leaving span(U).
+    G = np.zeros((q - rho, 0))
+    H = np.zeros((q, 0))
+    U = np.empty((q, q))
+    V = np.empty((r, r))
+    i = 0
+    j = 0
+    while K.shape[1]:
+        w = K.shape[1]
+        V[:, j : j + w] = K
+        j += w
+        Y, tau = row_basis(_project_out(U[:, :i], M @ K), tol, (q - i, w))
+        U[:, i : i + tau] = Y
+        i += tau
+        if tau == 0 or j == r:
+            break
+        y = Y - H @ (G.T @ (L.T @ Y))
+        X = _project_out(V[:, :j], Np @ y)
+        R = _project_out(U[:, :i], N @ X)
+        cand, small = pair_kernel(R, X, tol)
+        # The dense SVD of a block wider than tall always reports at
+        # least the difference of its sides as kernel.
+        w = min(tau, r - j, max(small, (r - j) - (q - i)))
+        if w == 0:
+            break
+        # One refinement step pulls N x back into span(U).
+        x = cand[:, :w]
+        res = _project_out(U[:, :i], N @ x)
+        x -= _project_out(V[:, :j], Np @ (res - H @ (G.T @ (L.T @ res))))
+        K = _orthonormal(_project_out(V[:, :j], x), w)
+        # The new rows that gave no kernel vector stick out of range(N):
+        # their part in span(L) joins G.
+        extra = min(tau - w, G.shape[0] - G.shape[1])
+        if extra:
+            P, s, Wt = _svd(L.T @ y, full_matrices=False)
+            G = np.hstack([G, P[:, :extra]])
+            H = np.hstack([H, y @ (Wt[:extra].T / s[:extra])])
+    Q = _orthonormal(U[:, :i], q)
+    Z = _orthonormal(V[:, :j], r)
+    M[:] = Q.T @ M @ Z
+    N[:] = Q.T @ N @ Z
+    M[i:, :j] = 0.0
+    N[i:, :j] = 0.0
+    return Q, Z, i, j
+
+
 def kronecker_like(pencil: LinearPencil, tol: float = 0.0) -> KroneckerStructure:
     """Block-triangularize a rectangular pencil by its Kronecker structure.
 
@@ -451,9 +551,11 @@ def kronecker_like(pencil: LinearPencil, tol: float = 0.0) -> KroneckerStructure
     bottom (see :class:`KroneckerStructure`).  The normal rank of the
     input is then the sum ``right_rows + regular_order + left_cols``.
 
-    The reduction is the SVD-based staircase variant: dependable rank
-    decisions at ``O(n^4)`` worst-case cost, which is the right trade at
-    the orders this package targets.
+    The reduction is the SVD-based staircase of Van Dooren (1979), with
+    every rank decision taken on singular values.  Small pencils run the
+    dense loop (``O(n^4)`` in the worst case); large ones decide the same
+    stairs on projections at ``O(n^3)``, see
+    :func:`_projected_row_structure`.
 
     Raises
     ------
@@ -471,8 +573,8 @@ def kronecker_like(pencil: LinearPencil, tol: float = 0.0) -> KroneckerStructure
     Qt, Zt, left_cols, left_rows = _extract_row_structure(Mt, Nt, tol)
     M2 = Mt.T[::-1, ::-1].copy()
     N2 = Nt.T[::-1, ::-1].copy()
-    QA = (Zt @ np.eye(q)[::-1])  # row transform: transpose then reversal
-    ZA = (Qt @ np.eye(r)[::-1])
+    QA = Zt[:, ::-1]  # row transform: transpose then reversal
+    ZA = Qt[:, ::-1]
     # Right structure on what is left of the pencil.
     qb = q - left_rows
     rb = r - left_cols
@@ -483,8 +585,10 @@ def kronecker_like(pencil: LinearPencil, tol: float = 0.0) -> KroneckerStructure
     N2[:qb, :rb] = Nsub
     M2[:qb, rb:] = QB.T @ M2[:qb, rb:]
     N2[:qb, rb:] = QB.T @ N2[:qb, rb:]
-    Q = QA @ scipy.linalg.block_diag(QB, np.eye(left_rows))
-    Z = ZA @ scipy.linalg.block_diag(ZB, np.eye(left_cols))
+    Q = QA.copy()
+    Q[:, :qb] = QA[:, :qb] @ QB
+    Z = ZA.copy()
+    Z[:, :rb] = ZA[:, :rb] @ ZB
     core_rows = qb - right_rows
     core_cols = rb - right_cols
     if core_rows != core_cols:

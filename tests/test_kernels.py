@@ -8,6 +8,7 @@ from nullrank.kernels import (
     EPS,
     col_compress,
     generalized_eigenvalues,
+    pair_kernel,
     rank_svd,
     rank_threshold,
     row_basis,
@@ -88,6 +89,26 @@ def test_col_compress_puts_kernel_columns_first():
             1.0, np.linalg.norm(M)
         )
         assert comp.shape == (q, rank)
+
+
+def test_pair_kernel_matches_the_ratios_of_a_direct_formula():
+    # With X = Qx Tx, the ratios |R v| / |X v| are the singular values of
+    # R Tx^-1; plant them, including two tiny ones that differ by 100x.
+    rng = np.random.default_rng(44)
+    ratios = np.array([0.0, 1e-12, 1e-10, 3e-3, 0.5, 2.0])
+    for _ in range(10):
+        k = len(ratios)
+        q, n = int(rng.integers(k, 10)), int(rng.integers(k, 10))
+        X = rng.standard_normal((n, k))
+        Tx = np.linalg.qr(X)[1]
+        Pr = np.linalg.qr(rng.standard_normal((q, k)))[0]
+        W = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        R = Pr @ (rng.permutation(ratios)[:, None] * W.T) @ Tx
+        K, small = pair_kernel(R, X, 1e-11)
+        assert K.shape == (n, k) and small == 2
+        V = np.linalg.lstsq(X, K, rcond=None)[0]
+        got = np.linalg.norm(R @ V, axis=0) / np.linalg.norm(K, axis=0)
+        assert np.allclose(got, ratios, rtol=1e-6, atol=1e-14)
 
 
 def test_generalized_eigenvalues_of_known_pair():
