@@ -7,113 +7,28 @@ reduction, remapped peak gain, pencil normal rank, response sampling,
 and pencil sampling), the reductions and frequency-domain analysis they
 are built from, a flat-file realization format, and a benchmark harness
 with a CLI front end.
+
+The top level holds what a caller needs to build realizations and ask
+for verdicts; everything else is reached through its submodule
+(``nullrank.reductions``, ``nullrank.analysis``, ...).
 """
 
-from .analysis import BilinearMap, bilinear, evalfr, peak_gain, random_bilinear_map
-from .bench import (
-    BenchRow,
-    GeneratorSpec,
-    build_zero_case,
-    method_totals,
-    random_stable_system,
-    render_report,
-    run_benchmark,
-)
-from .checks import (
-    FrequencySampleSet,
-    MethodResult,
-    check_nullrank,
-    draw_frequencies,
-    method1_minreal,
-    method2_norm,
-    method3_nrank,
-    method4_freq,
-    method5_pencil,
-)
-from .core import (
-    CONTINUOUS,
-    DISCRETE,
-    DescriptorSystem,
-    LinearPencil,
-    conjugate,
-    is_regular,
-    make_system,
-    subtract,
-    transpose,
-)
-from .dssfile import dumps_system, loads_system, read_system, write_system
+from . import analysis, bench, checks, core, dssfile, kernels, reductions
+from .checks import MethodResult, check_nullrank
+from .core import CONTINUOUS, DISCRETE, DescriptorSystem, make_system, subtract
 from .errors import PoleEvaluationError, ReductionError, ShapeError
-from .kernels import (
-    col_compress,
-    generalized_eigenvalues,
-    rank_svd,
-    rank_threshold,
-    row_compress,
-)
-from .reductions import (
-    KroneckerStructure,
-    MinimalizationReport,
-    ctrb_staircase,
-    kronecker_like,
-    minimal_realization,
-    obsv_staircase,
-    pencil_normal_rank,
-    remove_nondynamic,
-    system_pencil,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchRow",
-    "BilinearMap",
     "CONTINUOUS",
     "DISCRETE",
     "DescriptorSystem",
-    "FrequencySampleSet",
-    "GeneratorSpec",
-    "KroneckerStructure",
-    "LinearPencil",
     "MethodResult",
-    "MinimalizationReport",
     "PoleEvaluationError",
     "ReductionError",
     "ShapeError",
-    "bilinear",
-    "build_zero_case",
     "check_nullrank",
-    "col_compress",
-    "conjugate",
-    "ctrb_staircase",
-    "draw_frequencies",
-    "dumps_system",
-    "evalfr",
-    "generalized_eigenvalues",
-    "is_regular",
-    "kronecker_like",
-    "loads_system",
     "make_system",
-    "method1_minreal",
-    "method2_norm",
-    "method3_nrank",
-    "method4_freq",
-    "method5_pencil",
-    "method_totals",
-    "minimal_realization",
-    "obsv_staircase",
-    "peak_gain",
-    "pencil_normal_rank",
-    "random_bilinear_map",
-    "random_stable_system",
-    "rank_svd",
-    "rank_threshold",
-    "read_system",
-    "remove_nondynamic",
-    "render_report",
-    "row_compress",
-    "run_benchmark",
     "subtract",
-    "system_pencil",
-    "transpose",
-    "write_system",
 ]

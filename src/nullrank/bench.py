@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import BilinearMap, bilinear, evalfr
+from .analysis import evalfr
 from .checks import check_nullrank
-from .core import CONTINUOUS, DISCRETE, DescriptorSystem, conjugate, subtract, transpose
+from .core import CONTINUOUS, DISCRETE, BilinearMap, DescriptorSystem, bilinear, conjugate, subtract, transpose
 
 __all__ = [
     "BenchRow",

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import evalfr, peak_gain, random_bilinear_map, bilinear
-from .core import DescriptorSystem, is_regular
+from .analysis import evalfr, peak_gain, random_bilinear_map
+from .core import DescriptorSystem, bilinear, is_regular
 from .errors import PoleEvaluationError, ReductionError
 from .kernels import EPS, rank_svd
 from .reductions import (
@@ -92,21 +92,16 @@ class FrequencySampleSet:
     seed: int
 
 
-def draw_frequencies(seed: int, count: int = 1, distribution: str = "real") -> FrequencySampleSet:
-    """Draw evaluation points, one at a time for prefix stability.
+def draw_frequencies(seed: int, count: int = 1) -> FrequencySampleSet:
+    """Draw evaluation points uniform on ``(0, 1)``, one at a time.
 
-    ``distribution`` is ``"real"`` (uniform on ``(0, 1)``) or
-    ``"circle"`` (uniform on the unit circle).  Drawing ``count=k`` gives
-    the same leading points as ``count=k-1`` with the same seed, so
-    enlarging a sample set refines rather than reshuffles it.
+    Drawing ``count=k`` gives the same leading points as ``count=k-1``
+    with the same seed, so enlarging a sample set refines rather than
+    reshuffles it.  Other points (on the unit circle, say) go to methods
+    4 and 5 as an explicit :class:`FrequencySampleSet`.
     """
-    if distribution not in ("real", "circle"):
-        raise ValueError(f"unknown distribution {distribution!r}")
-    values = []
-    for i in range(count):
-        u = np.random.default_rng([seed, i]).uniform()
-        values.append(np.exp(2j * np.pi * u) if distribution == "circle" else u)
-    return FrequencySampleSet(tuple(values), seed)
+    values = tuple(np.random.default_rng([seed, i]).uniform() for i in range(count))
+    return FrequencySampleSet(values, seed)
 
 
 def method1_minreal(sys: DescriptorSystem, tol: float = 0.0) -> MethodResult:
@@ -228,13 +223,13 @@ def method5_pencil(sys: DescriptorSystem, tol: float = 0.0, samples: FrequencySa
     return MethodResult(5, r == 0, evidence, time.perf_counter() - start)
 
 
-# Method k as fn(sys, tol, subseed, sample_count, distribution).
+# Method k as fn(sys, tol, subseed, sample_count).
 _METHODS = {
-    1: lambda sys, tol, seed, *sample: method1_minreal(sys, tol),
-    2: lambda sys, tol, seed, *sample: method2_norm(sys, tol, rng=seed),
-    3: lambda sys, tol, seed, *sample: method3_nrank(sys, tol),
-    4: lambda sys, tol, seed, *sample: method4_freq(sys, tol, draw_frequencies(seed, *sample)),
-    5: lambda sys, tol, seed, *sample: method5_pencil(sys, tol, draw_frequencies(seed, *sample)),
+    1: lambda sys, tol, seed, count: method1_minreal(sys, tol),
+    2: lambda sys, tol, seed, count: method2_norm(sys, tol, rng=seed),
+    3: lambda sys, tol, seed, count: method3_nrank(sys, tol),
+    4: lambda sys, tol, seed, count: method4_freq(sys, tol, draw_frequencies(seed, count)),
+    5: lambda sys, tol, seed, count: method5_pencil(sys, tol, draw_frequencies(seed, count)),
 }
 
 
@@ -244,7 +239,6 @@ def check_nullrank(
     tol: float = 1e-7,
     seed: int = 0,
     sample_count: int = 1,
-    distribution: str = "real",
 ) -> list[MethodResult]:
     """Run a subset of the five zero-ness tests on one realization.
 
@@ -259,8 +253,8 @@ def check_nullrank(
     seed : int, optional
         Master seed; each method derives its own stream from it, so
         adding or removing one method never perturbs the others.
-    sample_count, distribution :
-        Size and support of the sample sets for methods 4 and 5.
+    sample_count : int, optional
+        Size of the sample sets for methods 4 and 5, at least 1.
 
     Returns
     -------
@@ -272,11 +266,13 @@ def check_nullrank(
     requested = sorted(set(methods))
     if not requested or not set(requested) <= set(_METHODS):
         raise ValueError(f"methods must be a non-empty subset of 1..5, got {methods!r}")
+    if sample_count < 1:
+        raise ValueError(f"sample_count must be at least 1, got {sample_count!r}")
     results = []
     for k in requested:
         start = time.perf_counter()
         try:
-            res = _METHODS[k](sys, tol, seed * 8 + k, sample_count, distribution)
+            res = _METHODS[k](sys, tol, seed * 8 + k, sample_count)
         except Exception as exc:  # pragma: no cover - defensive catch-all
             res = MethodResult(
                 k, False, {}, time.perf_counter() - start, f"error: {exc}"

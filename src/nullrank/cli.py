@@ -34,12 +34,18 @@ def _parse_orders(text):
     return orders
 
 
+def _positive_int(text):
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser):
     parser.add_argument("file", help="realization in .dss format")
     parser.add_argument("--tol", type=float, default=1e-7, help="rank/gain threshold")
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
     parser.add_argument(
-        "--samples", type=int, default=1, help="evaluation points for methods 4 and 5"
+        "--samples", type=_positive_int, default=1, help="evaluation points for methods 4 and 5"
     )
 
 
@@ -70,7 +76,7 @@ def _build_parser():
         help="comma-separated list of orders (default 1,2,3,5,10,20,50,100,200)",
     )
     bench.add_argument("--tol", type=float, default=1e-7, help="rank/gain threshold")
-    bench.add_argument("--seeds", type=int, default=10, help="cases per order")
+    bench.add_argument("--seeds", type=_positive_int, default=10, help="cases per order")
     bench.add_argument("--format", choices=["text", "csv"], default="text")
     bench.add_argument("--out", help="write the report here instead of stdout")
     return parser

@@ -12,6 +12,17 @@ discrete-time ones.  The rational matrix represented is::
 (a purely static gain ``D``) is legal.  Regularity of the pole pencil,
 ``det(A - lam*E)`` not identically zero, is required by most downstream
 operations but deliberately not enforced at construction time.
+
+The change of variable ``lam = g(delta) = (a*delta + b) / (c*delta + d)``
+augments the order by the number of inputs:
+
+    A~ = [ d*A - b*E   d*B ]     E~ = [ a*E - c*A   -c*B ]
+         [     0        -I  ]          [     0         0  ]
+
+    B~ = [ 0 ]   C~ = [ C  D ]   D~ = 0
+         [ I ]
+
+which satisfies ``C~ (delta*E~ - A~)^-1 B~ = G(g(delta))`` identically.
 """
 
 from __future__ import annotations
@@ -22,16 +33,15 @@ import numpy as np
 import scipy.linalg
 
 from . import kernels
-from .errors import PoleEvaluationError, ReductionError, ShapeError
+from .errors import ShapeError
 
 __all__ = [
+    "BilinearMap",
     "CONTINUOUS",
     "DISCRETE",
     "DescriptorSystem",
     "LinearPencil",
-    "PoleEvaluationError",
-    "ReductionError",
-    "ShapeError",
+    "bilinear",
     "conjugate",
     "is_regular",
     "make_system",
@@ -211,6 +221,56 @@ def is_regular(sys: DescriptorSystem, tol: float = 0.0) -> bool:
     return True
 
 
+@dataclass(frozen=True)
+class BilinearMap:
+    """First-order rational change of frequency variable.
+
+    Represents ``g(delta) = (a*delta + b) / (c*delta + d)`` with real
+    coefficients and nonzero determinant ``a*d - b*c`` (checked at
+    construction), so the map is invertible on the Riemann sphere.
+    """
+
+    a: float
+    b: float
+    c: float
+    d: float
+
+    def __post_init__(self):
+        if self.a * self.d - self.b * self.c == 0.0:
+            raise ValueError("degenerate map: a*d - b*c = 0")
+
+    def apply(self, delta):
+        """Evaluate ``g(delta)``."""
+        return (self.a * delta + self.b) / (self.c * delta + self.d)
+
+
+def bilinear(sys: DescriptorSystem, bmap: BilinearMap) -> DescriptorSystem:
+    """Substitute ``lam = g(delta)`` into a realization.
+
+    Returns the order-``n + m`` realization from the module docstring, in
+    the new variable ``delta``, whose point evaluations satisfy
+    ``evalfr(result, d0) == evalfr(sys, g(d0))`` wherever both sides are
+    defined.  The timing flag is carried over unchanged; it is up to the
+    caller to interpret the new variable.  Static systems (``n = 0``) are
+    returned unchanged since a change of variable does not affect a
+    constant.
+    """
+    a, b, c, d = bmap.a, bmap.b, bmap.c, bmap.d
+    n, m = sys.n, sys.m
+    if n == 0:
+        return sys
+    At = np.block(
+        [[d * sys.A - b * sys.E, d * sys.B], [np.zeros((m, n)), -np.eye(m)]]
+    )
+    Et = np.block(
+        [[a * sys.E - c * sys.A, -c * sys.B], [np.zeros((m, n + m))]]
+    )
+    Bt = np.vstack([np.zeros((n, m)), np.eye(m)])
+    Ct = np.hstack([sys.C, sys.D])
+    Dt = np.zeros((sys.p, m))
+    return DescriptorSystem(At, Et, Bt, Ct, Dt, sys.timing)
+
+
 def subtract(left: DescriptorSystem, right: DescriptorSystem) -> DescriptorSystem:
     """Realize the difference of two systems.
 
@@ -268,6 +328,4 @@ def conjugate(sys: DescriptorSystem) -> DescriptorSystem:
     """
     if sys.timing != DISCRETE:
         raise ValueError("conjugate is only defined for discrete-time systems")
-    from .analysis import BilinearMap, bilinear
-
     return bilinear(transpose(sys), BilinearMap(0.0, 1.0, 1.0, 0.0))

@@ -292,7 +292,7 @@ def _ctrb_reduce(sys: DescriptorSystem, tol: float):
     return out, removed_inf + removed_fin, Q, Z
 
 
-def ctrb_staircase(sys: DescriptorSystem, tol: float = 0.0, *, return_transforms=False):
+def ctrb_staircase(sys: DescriptorSystem, tol: float = 0.0):
     """Restrict a realization to its controllable part.
 
     Alternating compressions deflate the uncontrollable infinite
@@ -309,37 +309,38 @@ def ctrb_staircase(sys: DescriptorSystem, tol: float = 0.0, *, return_transforms
         Realization with a regular pole pencil.
     tol : float, optional
         Rank tolerance shared by every decision in the reduction.
-    return_transforms : bool, optional
-        Also return the accumulated orthogonal ``Q`` and ``Z``.
 
     Returns
     -------
     reduced : DescriptorSystem
     removed : int
         How many states were deflated.
+    Q, Z : ndarray
+        The accumulated orthogonal transforms: ``Q.T A Z``, ``Q.T E Z``,
+        ``Q.T B`` and ``C Z`` are block upper triangular with ``reduced``
+        as their leading part.
 
     Raises
     ------
     ReductionError
         If the rank decisions expose a singular pole pencil.
     """
-    out, removed, Q, Z = _ctrb_reduce(sys, tol)
-    return (out, removed, Q, Z) if return_transforms else (out, removed)
+    return _ctrb_reduce(sys, tol)
 
 
-def obsv_staircase(sys: DescriptorSystem, tol: float = 0.0, *, return_transforms=False):
+def obsv_staircase(sys: DescriptorSystem, tol: float = 0.0):
     """Restrict a realization to its observable part.
 
     Dual of :func:`ctrb_staircase`: the reduction is applied to the
-    transposed realization and the result transposed back.
+    transposed realization and the result transposed back, and so are
+    the returned ``(reduced, removed, Q, Z)``.
     """
     red, removed, Qt, Zt = _ctrb_reduce(transpose(sys), tol)
-    out = transpose(red)
     # The transforms swap roles under transposition.
-    return (out, removed, Zt, Qt) if return_transforms else (out, removed)
+    return transpose(red), removed, Zt, Qt
 
 
-def remove_nondynamic(sys: DescriptorSystem, tol: float = 0.0, *, return_transforms=False):
+def remove_nondynamic(sys: DescriptorSystem, tol: float = 0.0):
     """Eliminate non-dynamic modes by residualization.
 
     In coordinates where ``E = diag(E11, 0)`` with ``E11`` nonsingular,
@@ -352,7 +353,8 @@ def remove_nondynamic(sys: DescriptorSystem, tol: float = 0.0, *, return_transfo
 
     The rational matrix is unchanged.  The realization should already be
     controllable and observable at infinity for the removed modes to be
-    exactly the non-dynamic ones.
+    exactly the non-dynamic ones.  Returns ``(reduced, removed, U, V)``,
+    ``U.T E V`` diagonal (identities when nothing is removed).
 
     Raises
     ------
@@ -387,7 +389,7 @@ def remove_nondynamic(sys: DescriptorSystem, tol: float = 0.0, *, return_transfo
             sys.D - C2 @ XB,
             sys.timing,
         )
-    return (out, n - r, U, V) if return_transforms else (out, n - r)
+    return out, n - r, U, V
 
 
 def minimal_realization(sys: DescriptorSystem, tol: float = 0.0):
@@ -408,9 +410,9 @@ def minimal_realization(sys: DescriptorSystem, tol: float = 0.0):
     # later stages judge the rounding residue left behind by earlier ones
     # on the scale at which it was created.
     tol = _anchored_tol(tol, sys.A, sys.E, sys.B, sys.C)
-    s1, removed_c = ctrb_staircase(sys, tol)
-    s2, removed_o = obsv_staircase(s1, tol)
-    s3, removed_n = remove_nondynamic(s2, tol)
+    s1, removed_c, _, _ = ctrb_staircase(sys, tol)
+    s2, removed_o, _, _ = obsv_staircase(s1, tol)
+    s3, removed_n, _, _ = remove_nondynamic(s2, tol)
     report = MinimalizationReport(
         original_order=sys.n,
         removed_uncontrollable=removed_c,

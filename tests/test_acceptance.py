@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from nullrank import DISCRETE, PoleEvaluationError, check_nullrank, evalfr
-from nullrank.analysis import bilinear, random_bilinear_map
+from nullrank import DISCRETE, PoleEvaluationError, check_nullrank
+from nullrank.analysis import bilinear, evalfr, random_bilinear_map
 from nullrank.bench import (
     GeneratorSpec,
     build_zero_case,
@@ -203,9 +203,9 @@ def test_criterion_8_reduction_stages_preserve_the_transfer():
             sys = system_with_nondynamic_modes(rng, r, w)
         else:
             sys = random_system(rng, n=int(rng.integers(1, 21)))
-        s1, _, q1, z1 = ctrb_staircase(sys, TOL, return_transforms=True)
-        s2, _, q2, z2 = obsv_staircase(s1, TOL, return_transforms=True)
-        s3, _, u, v = remove_nondynamic(s2, TOL, return_transforms=True)
+        s1, _, q1, z1 = ctrb_staircase(sys, TOL)
+        s2, _, q2, z2 = obsv_staircase(s1, TOL)
+        s3, _, u, v = remove_nondynamic(s2, TOL)
         check_pair(sys, s1, f"case {i}: controllability stage")
         check_pair(s1, s2, f"case {i}: observability stage")
         check_pair(s2, s3, f"case {i}: non-dynamic stage")

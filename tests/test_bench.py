@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from nullrank import DISCRETE, evalfr
+from nullrank import DISCRETE
+from nullrank.analysis import evalfr
 from nullrank.bench import (
     BenchRow,
     GeneratorSpec,

@@ -46,13 +46,18 @@ def test_draw_frequencies_is_deterministic_and_prefix_stable():
     assert a.values[:2] == shorter.values
 
 
-def test_draw_frequencies_distributions():
-    real = draw_frequencies(3, count=8, distribution="real")
+def test_draw_frequencies_lie_in_the_unit_interval():
+    real = draw_frequencies(3, count=8)
     assert all(0.0 < v < 1.0 for v in real.values)
-    circ = draw_frequencies(3, count=8, distribution="circle")
-    assert all(abs(abs(v) - 1.0) < 1e-15 for v in circ.values)
-    with pytest.raises(ValueError, match="distribution"):
-        draw_frequencies(3, distribution="spiral")
+
+
+def test_sample_sets_on_the_unit_circle_are_passed_explicitly(rng):
+    circle = FrequencySampleSet(tuple(np.exp(2j * np.pi * np.array([0.1, 0.35]))), 3)
+    nonzero = random_system(rng, n=4, m=2, p=2)
+    for method in (method4_freq, method5_pencil):
+        res = method(nonzero, 1e-7, circle)
+        assert not res.is_null and res.evidence["samples"] == 2
+        assert method(_structurally_zero(rng), 1e-7, circle).is_null
 
 
 def test_different_seeds_give_different_points():
@@ -154,6 +159,13 @@ def test_check_nullrank_validates_method_set(rng):
         check_nullrank(sys, methods=())
     with pytest.raises(ValueError):
         check_nullrank(sys, methods=(1, 6))
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_check_nullrank_rejects_empty_sample_sets(rng, count):
+    sys = random_system(rng, n=1)
+    with pytest.raises(ValueError, match="sample_count"):
+        check_nullrank(sys, methods=(4, 5), sample_count=count)
 
 
 def test_check_nullrank_is_deterministic(rng):

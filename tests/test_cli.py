@@ -82,9 +82,9 @@ def test_rank_samples_the_points_of_method5(tmp_path, rng, capsys, monkeypatch):
     write_system(make_system(sys.A, sys.E, B, sys.C, D), path)
     seeds = []
 
-    def spy(seed, count=1, distribution="real"):
+    def spy(seed, count=1):
         seeds.append(seed)
-        return draw_frequencies(seed, count, distribution)
+        return draw_frequencies(seed, count)
 
     monkeypatch.setattr(checks, "draw_frequencies", spy)
     assert main(["rank", str(path), "--seed", "3", "--samples", "2"]) == 0
@@ -123,6 +123,23 @@ def test_bench_rejects_bad_order_list(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bench", "--orders", "1,x"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "{file}", "--samples", "0"],
+    ["rank", "{file}", "--samples", "0"],
+    ["rank", "{file}", "--samples", "-3"],
+    ["bench", "--seeds", "0"],
+    ["bench", "--seeds", "-2"],
+    ["bench", "--seeds", "two"],
+])
+def test_counts_below_one_are_usage_errors(nonzero_file, capsys, args):
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(file=nonzero_file) for arg in args])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--samples" in captured.err or "--seeds" in captured.err
 
 
 def test_cli_requires_a_command(capsys):

@@ -8,14 +8,11 @@ from nullrank import (
     DISCRETE,
     DescriptorSystem,
     ShapeError,
-    conjugate,
-    is_regular,
     make_system,
     subtract,
-    transpose,
 )
 from nullrank.analysis import evalfr
-from nullrank.core import LinearPencil
+from nullrank.core import LinearPencil, conjugate, is_regular, transpose
 
 from conftest import random_system
 
