@@ -85,11 +85,17 @@ class FrequencySampleSet:
     """An explicit, reproducible set of evaluation points.
 
     ``values`` holds the points; ``seed`` records where they came from so
-    follow-up draws (e.g. to step off a pole) stay deterministic.
+    follow-up draws (e.g. to step off a pole) stay deterministic.  An
+    empty ``values`` raises ``ValueError``: a rank over no samples is no
+    evidence.
     """
 
     values: tuple
     seed: int
+
+    def __post_init__(self):
+        if len(self.values) == 0:
+            raise ValueError("FrequencySampleSet needs at least one point")
 
 
 def draw_frequencies(seed: int, count: int = 1) -> FrequencySampleSet:

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from nullrank import CONTINUOUS, DISCRETE, PoleEvaluationError, make_system
+from nullrank import CONTINUOUS, DISCRETE, PoleEvaluationError, analysis, bench, make_system
 from nullrank.analysis import _boundary_grid, evalfr, peak_gain, random_bilinear_map
+from nullrank.checks import method2_norm
 from nullrank.core import BilinearMap, bilinear
 
-from conftest import random_system
+from conftest import haar_orthogonal, random_system
 
 
 def test_bilinear_map_rejects_degenerate_coefficients():
@@ -206,7 +207,9 @@ def test_evalfr_and_peak_gain_bit_identical_to_scipy_wrappers(rng, case):
         got = evalfr(sys, lam)
         assert got.dtype == complex
         assert np.array_equal(got, _reference_evalfr(sys, lam))
-        assert peak_gain(sys, 1e-7, rng=k) == _reference_peak_gain(sys, 1e-7, k)
+        # the QZ scan is not bit-identical; at a skipped pole the gain would be huge
+        want = _reference_peak_gain(sys, 1e-7, k)
+        assert peak_gain(sys, 1e-7, rng=k) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("n, m, p", [(3, 0, 2), (3, 2, 0), (0, 2, 2), (0, 0, 0)])
@@ -216,7 +219,7 @@ def test_evalfr_and_peak_gain_on_empty_dimensions(rng, n, m, p):
     assert got.shape == (p, m) and got.dtype == complex
     assert np.array_equal(got, _reference_evalfr(sys, 0.5j))
     if p and m:
-        assert peak_gain(sys) == _reference_peak_gain(sys, 0.0, 0)
+        assert peak_gain(sys) == pytest.approx(_reference_peak_gain(sys, 0.0, 0), rel=1e-9)
     else:
         assert peak_gain(sys) == 0.0
 
@@ -235,3 +238,72 @@ def test_evalfr_rejects_non_finite_shifts(rng):
         huge = make_system(sys.A, 1e305 * np.eye(3), sys.B, sys.C, sys.D)
         with pytest.raises(ValueError):
             peak_gain(huge)  # overflows at the top of the frequency grid
+
+
+def _complex_pole_pairs(rng, pairs, timing, on_grid=False):
+    """Only complex pole pairs, so the real QZ has 2x2 blocks only.
+
+    With ``on_grid`` the first pair sits on the boundary point ``1j``
+    (continuous) or ``exp(1j*theta)`` with ``theta`` a grid angle (discrete).
+    """
+    n = 2 * pairs
+    A = np.zeros((n, n))
+    for k in range(pairs):
+        if timing == DISCRETE:
+            radius, angle = rng.uniform(0.3, 0.95), rng.uniform(0.1, 3.0)
+            re, im = radius * np.cos(angle), radius * np.sin(angle)
+        else:
+            re, im = -rng.uniform(0.01, 1.0), 10.0 ** rng.uniform(-2.0, 2.0)
+        if on_grid and k == 0:
+            theta = np.linspace(0.0, np.pi, analysis.GRID_SIZE)[40]
+            re, im = (np.cos(theta), np.sin(theta)) if timing == DISCRETE else (0.0, 1.0)
+        A[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = [[re, im], [-im, re]]
+    scale = rng.uniform(0.5, 2.0, size=pairs)  # one per pair keeps it a pair
+    if on_grid:
+        scale[0] = 1.0
+    Q, Z = haar_orthogonal(rng, n), haar_orthogonal(rng, n)
+    E = np.diag(np.repeat(scale, 2))
+    return make_system(Q @ A @ Z, Q @ E @ Z, rng.standard_normal((n, 2)),
+                       rng.standard_normal((3, n)), rng.standard_normal((3, 2)), timing)
+
+
+@pytest.mark.parametrize("timing", [CONTINUOUS, DISCRETE])
+def test_peak_gain_on_complex_pole_pairs_matches_the_reference(rng, timing):
+    for k in range(4):
+        sys = _complex_pole_pairs(rng, 6, timing)
+        S = scipy.linalg.qz(sys.A, sys.E, output="real")[0]
+        assert np.count_nonzero(np.diag(S, -1)) == 6  # six 2x2 blocks
+        want = _reference_peak_gain(sys, 1e-7, k)
+        assert peak_gain(sys, 1e-7, rng=k) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("timing", [CONTINUOUS, DISCRETE])
+@pytest.mark.parametrize("tol", [0.0, 1e-7])
+def test_peak_gain_skips_a_complex_pole_pair_on_the_grid(rng, timing, tol):
+    sys = _complex_pole_pairs(rng, 3, timing, on_grid=True)
+    want = _reference_peak_gain(sys, tol, 0)
+    assert want < 1e6  # the reference skips the pole point
+    assert peak_gain(sys, tol, rng=0) == pytest.approx(want, rel=1e-9)
+
+
+def test_peak_gain_spanning_several_chunks_matches_the_reference(rng):
+    # discrete poles inside (-0.9, 0.9) and one at -0.999, so the peak sits
+    # at z = -1, the last angle of the grid, in the second chunk
+    n, m = 120, 3
+    poles = np.append(rng.uniform(-0.9, 0.9, size=n - 1), -0.999)
+    Q = haar_orthogonal(rng, n)
+    sys = make_system(Q @ np.diag(poles) @ Q.T, np.eye(n), Q @ rng.standard_normal((n, m)),
+                      rng.standard_normal((2, n)) @ Q.T, np.zeros((2, m)), DISCRETE)
+    per_chunk = analysis._CHUNK_BYTES // (16 * n * m)
+    assert per_chunk < analysis.GRID_SIZE - 1  # the 210 points take two chunks
+    assert peak_gain(sys, 1e-7, rng=5) == pytest.approx(_reference_peak_gain(sys, 1e-7, 5), rel=1e-9)
+    last = np.linalg.svd(evalfr(sys, -1.0), compute_uv=False)[0]
+    assert peak_gain(sys, 1e-7, rng=5) == pytest.approx(last, rel=1e-9)
+
+
+def test_method2_refined_gain_on_an_order_100_zero_case():
+    # Without the refinement step the gain here is about 1e-8, a decade
+    # below tol; with it, about 1e-10.
+    result = method2_norm(bench.build_zero_case(100, 2), 1e-7, rng=18)
+    assert result.is_null and result.diagnostics == ""
+    assert result.evidence["peak_gain"] < 1e-9

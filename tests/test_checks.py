@@ -205,3 +205,9 @@ def test_frequency_sample_set_is_frozen():
     s = FrequencySampleSet((0.5,), 1)
     with pytest.raises(AttributeError):
         s.values = (0.7,)
+
+
+def test_frequency_sample_set_rejects_no_points():
+    with pytest.raises(ValueError, match="at least one point"):
+        FrequencySampleSet((), 0)
+    assert FrequencySampleSet((0.25,), 0).values == (0.25,)
