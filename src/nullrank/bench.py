@@ -35,24 +35,25 @@ __all__ = [
 ]
 
 
+# Every eigenvalue modulus of a random stable system stays below this.
+_SPECTRAL_MARGIN = 0.95
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Dimensions, seed, and stability margin for the random generator."""
+    """Dimensions, timing and seed for the random generator."""
 
     n: int
     p: int
     m: int
     timing: str = DISCRETE
     seed: int = 0
-    spectral_margin: float = 0.95
 
     def __post_init__(self):
         if min(self.n, self.p, self.m) < 0:
             raise ValueError("dimensions must be nonnegative")
         if self.timing not in (CONTINUOUS, DISCRETE):
             raise ValueError(f"bad timing {self.timing!r}")
-        if not 0.0 < self.spectral_margin < 1.0:
-            raise ValueError("spectral_margin must lie in (0, 1)")
 
 
 def _haar_orthogonal(rng, n):
@@ -64,7 +65,7 @@ def _haar_orthogonal(rng, n):
 
 
 def random_stable_system(spec: GeneratorSpec) -> DescriptorSystem:
-    """Draw a random system with all eigenvalue moduli below the margin.
+    """Draw a random system with all eigenvalue moduli below ``margin = 0.95``.
 
     ``A`` is an orthogonal similarity of a real block-diagonal matrix
     whose 1x1 blocks are uniform in ``(-margin, margin)`` and whose 2x2
@@ -75,7 +76,7 @@ def random_stable_system(spec: GeneratorSpec) -> DescriptorSystem:
     For discrete timing the modulus bound makes the system stable.
     """
     rng = np.random.default_rng(spec.seed)
-    n, margin = spec.n, spec.spectral_margin
+    n, margin = spec.n, _SPECTRAL_MARGIN
     H = np.zeros((n, n))
     k = 0
     while k < n:
@@ -137,7 +138,7 @@ class BenchRow:
     """One benchmark case: requested order, actual order, and outcomes.
 
     ``decisions`` and ``timings`` have five slots indexed by method
-    number; a method that was not requested holds ``None`` and ``0.0``.
+    number; a case that could not be built holds ``None`` and ``0.0``.
     ``N`` is the order of the constructed case (at least ``2 n``, being
     a difference of two order-at-least-``n`` realizations).
     """
@@ -151,18 +152,14 @@ class BenchRow:
 
 
 def run_benchmark(
-    orders,
-    tol: float = 1e-7,
-    seeds_per_order: int = 10,
-    methods=(1, 2, 3, 4, 5),
-    sample_count: int = 1,
+    orders, tol: float = 1e-7, seeds_per_order: int = 10
 ) -> list[BenchRow]:
     """Sweep the zero-ness tests over certified-zero cases.
 
     For every order in ``orders`` and every seed in
-    ``range(seeds_per_order)`` this builds a zero case and runs the
-    requested methods on it at tolerance ``tol``.  Rows come back
-    ordered by ``(n, seed)``.  A failure — in construction or inside a
+    ``range(seeds_per_order)`` this builds a zero case and runs all five
+    methods on it at tolerance ``tol``.  Rows come back ordered by
+    ``(n, seed)``.  A failure — in construction or inside a
     method — is recorded in the row's diagnostics and the sweep moves
     on; it never aborts.  Decisions are deterministic in
     ``(orders, tol, seeds_per_order)``; timings are wall-clock.
@@ -187,22 +184,13 @@ def run_benchmark(
                     )
                 )
                 continue
-            results = check_nullrank(
-                case, methods, tol, seed=seed, sample_count=sample_count
+            results = check_nullrank(case, tol=tol, seed=seed)
+            decisions = tuple(res.is_null for res in results)
+            timings = tuple(res.elapsed for res in results)
+            notes = tuple(
+                f"M{res.method}: {res.diagnostics}" for res in results if res.diagnostics
             )
-            decisions = [None] * 5
-            timings = [0.0] * 5
-            notes = []
-            for res in results:
-                decisions[res.method - 1] = res.is_null
-                timings[res.method - 1] = res.elapsed
-                if res.diagnostics:
-                    notes.append(f"M{res.method}: {res.diagnostics}")
-            rows.append(
-                BenchRow(
-                    n, case.n, seed, tuple(decisions), tuple(timings), tuple(notes)
-                )
-            )
+            rows.append(BenchRow(n, case.n, seed, decisions, timings, notes))
     return rows
 
 

@@ -133,9 +133,11 @@ def method2_norm(sys: DescriptorSystem, tol: float = 0.0, rng=None) -> MethodRes
     :func:`~nullrank.analysis.peak_gain` well defined.  One map is drawn and
     probed for regularity once: a map with ``a*d - b*c != 0`` keeps a
     regular pencil regular, so a redraw could only repeat a failed probe.
+    The map and the scan draw from ``rng`` (an int seed or a generator;
+    the default is a fixed seed, so repeated calls agree).
     """
     start = time.perf_counter()
-    rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(0 if rng is None else rng)
     mapped = bilinear(sys, random_bilinear_map(rng))
     if not is_regular(mapped, tol):
         note = "is_regular probe failed on the remapped pencil"
@@ -170,21 +172,27 @@ def method3_nrank(sys: DescriptorSystem, tol: float = 0.0) -> MethodResult:
     )
 
 
-def _evaluate_dodging_poles(sys, sample, tol, redraw_tag):
+# Tags the redraw streams of method 4 apart from the sampling streams.
+_REDRAW_TAG = 0x9A17
+
+
+def _evaluate_dodging_poles(sys, sample, tol):
     """Evaluate at each sample point, stepping off poles deterministically.
 
-    Any point that lands on a pole is replaced by up to five fresh draws
-    seeded from the sample set's own seed; a point that stays on a pole
-    after that raises :class:`PoleEvaluationError`.
+    A point that lands on a pole is replaced by up to five fresh draws
+    seeded from the sample set's own seed and the point's index, so two
+    points that hit poles get different replacements; a point that stays
+    on a pole after that raises :class:`PoleEvaluationError`.
     """
     responses = []
-    for lam in sample.values:
+    for index, lam in enumerate(sample.values):
         try:
             responses.append(evalfr(sys, lam, rtol=tol))
             continue
         except PoleEvaluationError:
             pass
-        for cand in np.random.default_rng([sample.seed, redraw_tag]).uniform(size=5):
+        redraw = np.random.default_rng([sample.seed, _REDRAW_TAG, index])
+        for cand in redraw.uniform(size=5):
             try:
                 responses.append(evalfr(sys, cand, rtol=tol))
                 break
@@ -201,7 +209,7 @@ def method4_freq(sys: DescriptorSystem, tol: float = 0.0, samples: FrequencySamp
     if samples is None:
         samples = draw_frequencies(0)
     try:
-        responses = _evaluate_dodging_poles(sys, samples, tol, redraw_tag=0x9A17)
+        responses = _evaluate_dodging_poles(sys, samples, tol)
     except PoleEvaluationError as exc:
         return MethodResult(4, False, {}, time.perf_counter() - start, str(exc))
     r = max(rank_svd(resp, tol) for resp in responses)

@@ -14,12 +14,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .errors import ReductionError, ShapeError
-
 __all__ = [
     "EPS",
     "col_compress",
-    "generalized_eigenvalues",
     "pair_kernel",
     "rank_svd",
     "rank_threshold",
@@ -150,45 +147,3 @@ def col_compress(mat, tol: float = 0.0):
     compressed = (U[:, :k] * sigma[:k])[:, ::-1]
     return Z, compressed, k
 
-
-def generalized_eigenvalues(A, E):
-    """Eigenvalues of the regular pencil ``A - lam*E``.
-
-    Parameters
-    ----------
-    A, E : array_like
-        Square matrices of equal order ``n``.
-
-    Returns
-    -------
-    finite : ndarray of complex
-        The finite eigenvalues (multiset, order unspecified).
-    infinite : int
-        How many eigenvalues lie at infinity; rank deficiency of ``E``
-        shows up here rather than as IEEE infinities.
-
-    Raises
-    ------
-    ReductionError
-        If the pencil is singular, signalled by indeterminate ``0/0``
-        eigenvalue ratios in the underlying QZ decomposition.
-    """
-    A = np.asarray(A, dtype=float)
-    E = np.asarray(E, dtype=float)
-    n = A.shape[0]
-    if A.ndim != 2 or A.shape != (n, n) or E.shape != (n, n):
-        raise ShapeError(f"expected square matrices of equal order, got {A.shape} and {E.shape}")
-    if n == 0:
-        return np.zeros(0, dtype=complex), 0
-    w = scipy.linalg.eig(A, E, right=False, homogeneous_eigvals=True)
-    alpha, beta = w[0], w[1]
-    cut = 100.0 * n * EPS
-    tiny_a = cut * np.linalg.norm(A, "fro")
-    tiny_e = cut * np.linalg.norm(E, "fro")
-    a_small = np.abs(alpha) <= tiny_a
-    b_small = np.abs(beta) <= tiny_e
-    if np.any(a_small & b_small):
-        raise ReductionError("singular pencil: indeterminate generalized eigenvalue")
-    infinite = int(np.count_nonzero(b_small))
-    finite = alpha[~b_small] / beta[~b_small]
-    return finite, infinite

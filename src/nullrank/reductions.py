@@ -19,6 +19,8 @@ states are removed.  :func:`kronecker_like` does the same on large
 pencils: one SVD of ``N`` and thin stair decisions, ``O(n^3)``.  Small
 pencils keep the dense loop, which takes the SVD of the whole trailing
 block at every stair (``O(n^4)`` in the worst case) and is faster there.
+The controllability staircase isolates its infinite structure with the
+same dense loop, run on the pole pencil ``A - lam*E``.
 """
 
 from __future__ import annotations
@@ -204,29 +206,16 @@ def _ctrb_reduce(sys: DescriptorSystem, tol: float):
     # corresponding algebraic equations compressed on top, leaving exact
     # zeros below, so the trailing block has a nonsingular E.  Without
     # this the finite stairs would mix near-kernel directions of E into
-    # their rank decisions, with unbounded growth factors.
-    j = 0
-    while j < n2:
-        na = n2 - j
-        Zk, _, re = col_compress(E[j:, j:], tol)
-        w = na - re
-        if w == 0:
-            break
-        E[:, j:] = E[:, j:] @ Zk
-        A[:, j:] = A[:, j:] @ Zk
-        C[:, j:] = C[:, j:] @ Zk
-        Z[:, j:n2] = Z[:, j:n2] @ Zk
-        E[j:, j : j + w] = 0.0
-        Uk, _, rho = row_compress(A[j:, j : j + w], tol)
-        if rho < w:
-            raise ReductionError("pole pencil is numerically singular")
-        A[j:, :] = Uk.T @ A[j:, :]
-        E[j:, j:] = Uk.T @ E[j:, j:]
-        B[j:, :] = Uk.T @ B[j:, :]
-        Q[:, j:n2] = Q[:, j:n2] @ Uk
-        A[j + w :, j : j + w] = 0.0
-        j += w
-    ninf = j
+    # their rank decisions, with unbounded growth factors.  These are the
+    # stairs of the pencil A - lam*E itself; every one must be square.
+    Q2, Z2, ninf, cols = _dense_row_structure(A, E, tol)
+    if ninf != cols:
+        raise ReductionError("pole pencil is numerically singular")
+    if ninf > 0:
+        B = Q2.T @ B
+        C = C @ Z2
+        Q[:, :n2] = Q[:, :n2] @ Q2
+        Z[:, :n2] = Z[:, :n2] @ Z2
 
     # Pass 3: staircase on the finite trailing block, E_f = Qe R with R
     # upper triangular and nonsingular.  Working in the rows of Qe, grow
@@ -447,7 +436,11 @@ def _extract_row_structure(M, N, tol):
 
 
 def _dense_row_structure(M, N, tol):
-    """:func:`_extract_row_structure` by an SVD of the trailing block per stair."""
+    """:func:`_extract_row_structure` by an SVD of the trailing block per stair.
+
+    Also the infinite-structure pass of :func:`_ctrb_reduce`, on the pole
+    pencil ``A - lam*E`` at every size.
+    """
     q, r = M.shape
     Q = np.eye(q)
     Z = np.eye(r)

@@ -25,10 +25,6 @@ def test_generator_spec_validation():
         GeneratorSpec(-1, 2, 1)
     with pytest.raises(ValueError):
         GeneratorSpec(3, 2, 1, timing="sampled")
-    with pytest.raises(ValueError):
-        GeneratorSpec(3, 2, 1, spectral_margin=1.0)
-    with pytest.raises(ValueError):
-        GeneratorSpec(3, 2, 1, spectral_margin=0.0)
 
 
 def test_random_stable_system_shapes_and_identity_e():
@@ -109,20 +105,20 @@ def test_run_benchmark_validates_orders():
 
 
 def test_run_benchmark_row_layout_and_order():
-    rows = run_benchmark([2, 1], seeds_per_order=2, methods=(4, 5))
+    rows = run_benchmark([2, 1], seeds_per_order=2)
     assert [(r.n, r.seed) for r in rows] == [(1, 0), (1, 1), (2, 0), (2, 1)]
     for row in rows:
         assert row.N == 2 * row.n + 5
-        assert row.decisions[0] is None and row.timings[0] == 0.0
-        assert row.decisions[3] is not None and row.decisions[4] is not None
+        assert len(row.decisions) == len(row.timings) == 5
+        assert None not in row.decisions and min(row.timings) > 0.0
         assert row.diagnostics == ()
 
 
 def test_run_benchmark_decisions_are_deterministic():
-    a = run_benchmark([1], seeds_per_order=3, methods=(1, 4, 5))
-    b = run_benchmark([1], seeds_per_order=3, methods=(1, 4, 5))
+    a = run_benchmark([1], seeds_per_order=3)
+    b = run_benchmark([1], seeds_per_order=3)
     assert [r.decisions for r in a] == [r.decisions for r in b]
-    assert all(all(d for d in r.decisions if d is not None) for r in a)
+    assert all(all(r.decisions) for r in a)
 
 
 def test_run_benchmark_records_construction_failures(monkeypatch):
@@ -130,7 +126,7 @@ def test_run_benchmark_records_construction_failures(monkeypatch):
         raise RuntimeError("spot check tripped")
 
     monkeypatch.setattr("nullrank.bench.build_zero_case", boom)
-    rows = run_benchmark([3], seeds_per_order=2, methods=(5,))
+    rows = run_benchmark([3], seeds_per_order=2)
     assert len(rows) == 2
     for row in rows:
         assert row.N == 0

@@ -1,13 +1,10 @@
 """Rank decisions and orthogonal compressions."""
 
 import numpy as np
-import pytest
 
-from nullrank import ReductionError
 from nullrank.kernels import (
     EPS,
     col_compress,
-    generalized_eigenvalues,
     pair_kernel,
     rank_svd,
     rank_threshold,
@@ -109,27 +106,3 @@ def test_pair_kernel_matches_the_ratios_of_a_direct_formula():
         V = np.linalg.lstsq(X, K, rcond=None)[0]
         got = np.linalg.norm(R @ V, axis=0) / np.linalg.norm(K, axis=0)
         assert np.allclose(got, ratios, rtol=1e-6, atol=1e-14)
-
-
-def test_generalized_eigenvalues_of_known_pair():
-    A = np.diag([2.0, 3.0])
-    E = np.eye(2)
-    finite, ninf = generalized_eigenvalues(A, E)
-    assert ninf == 0
-    assert np.allclose(np.sort_complex(finite), [2.0, 3.0])
-
-
-def test_generalized_eigenvalues_reports_infinite_modes():
-    A = np.diag([1.0, 1.0])
-    E = np.diag([1.0, 0.0])
-    finite, ninf = generalized_eigenvalues(A, E)
-    assert np.allclose(finite, [1.0])
-    assert ninf == 1
-
-
-def test_generalized_eigenvalues_rejects_singular_pencil():
-    # A - lam E is singular for every lam here
-    A = np.zeros((2, 2))
-    E = np.zeros((2, 2))
-    with pytest.raises(ReductionError):
-        generalized_eigenvalues(A, E)
