@@ -13,10 +13,11 @@ gives ``Q^T (lam*E - A) Z = lam*T - S`` with ``T`` upper triangular and
 ``S`` quasi-triangular, whose 1x1 and 2x2 diagonal blocks are read off
 ``S``'s subdiagonal.  Everything stays real:
 
-* **Pole rule.**  The pivot-ratio rule of :func:`evalfr`, applied to the
-  diagonal blocks of ``lam*T - S``: a grid point is a pole, and is
-  skipped, when the smallest pivot is at most ``cut`` times the largest
-  (``cut`` is the scan's ``tol``, or ``16 n eps``).  The pivots are
+* **Pole rule.**  :func:`_off_pole`, the pivot-ratio rule that
+  :func:`evalfr` applies to its LU, applied to the diagonal blocks of
+  ``lam*T - S``: a grid point is a pole, and is skipped, when the
+  smallest pivot is at most ``cut`` times the largest (``cut`` is the
+  scan's ``tol``, or ``16 n eps``).  The pivots are
   ``|d_kk|`` for a 1x1 block and, for a 2x2 block ``[[a, b], [c, d]]``,
   those of its partial-pivoted LU: ``max(|a|, |c|)`` and ``|det|`` over
   it.  ``sqrt|det|`` in their place would keep a grid point that sits on
@@ -71,8 +72,11 @@ def random_bilinear_map(rng=None) -> BilinearMap:
             return BilinearMap(float(a), float(b), float(c), float(d))
 
 
-def _cut(sys, rtol):
-    return rtol if rtol > 0.0 else 16.0 * sys.n * EPS
+def _off_pole(sys, pivots, rtol):
+    """Off-pole mask over the last axis of ``pivots``: min > cut * max > 0."""
+    cut = rtol if rtol > 0.0 else 16.0 * sys.n * EPS
+    dmax = pivots.max(axis=-1)
+    return (dmax > 0.0) & (pivots.min(axis=-1) > cut * dmax)
 
 
 def evalfr(sys: DescriptorSystem, lam, rtol: float = 0.0) -> np.ndarray:
@@ -110,9 +114,7 @@ def evalfr(sys: DescriptorSystem, lam, rtol: float = 0.0) -> np.ndarray:
     lu, piv, info = zgetrf(T, overwrite_a=True)
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of internal getrf")
-    diag = np.abs(np.diag(lu))
-    dmax = diag.max()
-    if dmax == 0.0 or diag.min() <= _cut(sys, rtol) * dmax:
+    if not _off_pole(sys, np.abs(np.diag(lu)), rtol):
         raise PoleEvaluationError(f"evaluation at a pole (lam = {lam})")
     B = sys.B.astype(complex)
     if B.shape[1]:  # zgetrs gets no empty right-hand side
@@ -281,9 +283,7 @@ def peak_gain(sys: DescriptorSystem, tol: float = 0.0, rng=None):
         _check_finite(sys, grid)
         S, T, Q, Z = scipy.linalg.qz(sys.A, sys.E, output="real")
         qt = _QuasiTriangular(S, T)
-        pivots = qt.pivots(grid)
-        dmax = pivots.max(axis=1)
-        kept = grid[(dmax > 0.0) & (pivots.min(axis=1) > _cut(sys, tol) * dmax)]
+        kept = grid[_off_pole(sys, qt.pivots(grid), tol)]
         if kept.size == 0:
             raise PoleEvaluationError("every grid point lies on a pole")
         if sys.p == 0 or sys.m == 0:

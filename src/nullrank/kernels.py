@@ -1,12 +1,13 @@
 """Dense rank-revealing primitives shared by the reduction algorithms.
 
-All rank decisions in the package funnel through the same tolerance rule:
-a positive ``tol`` is used verbatim as an absolute cutoff on singular
-values, while ``tol = 0`` requests the default ``max(q, r) * eps * s₁``
-for a ``q x r`` matrix with largest singular value ``s₁`` (zero when the
-matrix itself is zero).  Keeping the rule in one place makes the rank
-behaviour of the staircase reductions reproducible and easy to reason
-about.
+All rank decisions in the package are taken by one helper,
+:func:`_svd_rank`: it takes the SVD and counts the singular values above
+the cutoff of :func:`rank_threshold`.  A positive ``tol`` is used verbatim
+as an absolute cutoff, while ``tol = 0`` requests the default
+``max(q, r) * eps * s₁`` for a ``q x r`` matrix with largest singular
+value ``s₁`` (zero when the matrix itself is zero).  Keeping the rule in
+one place makes the rank behaviour of the staircase reductions
+reproducible and easy to reason about.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "col_compress",
     "pair_kernel",
     "rank_svd",
-    "rank_threshold",
     "row_basis",
     "row_compress",
 ]
@@ -56,17 +56,25 @@ def rank_threshold(sigma, shape, tol: float = 0.0) -> float:
     return max(shape) * EPS * float(sigma[0])
 
 
+def _svd_rank(mat, tol, full_matrices, shape=None):
+    """``(U, sigma, Vt, rank)`` of ``mat``: the package's one rank decision.
+
+    ``rank`` counts the singular values above :func:`rank_threshold` for
+    ``shape`` (by default ``mat.shape``), at most ``min(shape)``.
+    """
+    shape = mat.shape if shape is None else shape
+    U, sigma, Vt = _svd(mat, full_matrices)
+    rank = int(np.count_nonzero(sigma > rank_threshold(sigma, shape, tol)))
+    return U, sigma, Vt, min(rank, *shape)
+
+
 def rank_svd(mat, tol: float = 0.0) -> int:
     """Numerical rank: singular values strictly above the effective cutoff.
 
     Empty matrices (either dimension zero) have rank 0, as do matrices
     whose singular values all sit at or below the cutoff.
     """
-    mat = np.asarray(mat)
-    if mat.size == 0:
-        return 0
-    sigma = _svd(mat, full_matrices=False)[1]
-    return int(np.count_nonzero(sigma > rank_threshold(sigma, mat.shape, tol)))
+    return _svd_rank(np.asarray(mat), tol, full_matrices=False)[3]
 
 
 def row_compress(mat, tol: float = 0.0):
@@ -80,8 +88,7 @@ def row_compress(mat, tol: float = 0.0):
     q, r = mat.shape
     if q == 0 or r == 0:
         return np.eye(q), np.zeros((0, r)), 0
-    U, sigma, Vt = _svd(mat, full_matrices=True)
-    k = int(np.count_nonzero(sigma > rank_threshold(sigma, mat.shape, tol)))
+    U, sigma, Vt, k = _svd_rank(mat, tol, full_matrices=True)
     compressed = sigma[:k, None] * Vt[:k, :]
     return U, compressed, k
 
@@ -96,12 +103,7 @@ def row_basis(mat, tol: float = 0.0, shape=None):
     ``(q, X.shape[1])`` of the block it stands for: both share their
     nonzero singular values, and the rank is capped at ``min(shape)``.
     """
-    mat = np.asarray(mat, dtype=float)
-    shape = mat.shape if shape is None else shape
-    if mat.size == 0:
-        return np.zeros((mat.shape[0], 0)), 0
-    U, sigma, _ = _svd(mat, full_matrices=False)
-    k = min(int(np.count_nonzero(sigma > rank_threshold(sigma, shape, tol))), *shape)
+    U, _, _, k = _svd_rank(np.asarray(mat, dtype=float), tol, False, shape)
     return U[:, :k], k
 
 
@@ -141,8 +143,7 @@ def col_compress(mat, tol: float = 0.0):
     q, r = mat.shape
     if q == 0 or r == 0:
         return np.eye(r), np.zeros((q, 0)), 0
-    U, sigma, Vt = _svd(mat, full_matrices=True)
-    k = int(np.count_nonzero(sigma > rank_threshold(sigma, mat.shape, tol)))
+    U, sigma, Vt, k = _svd_rank(mat, tol, full_matrices=True)
     Z = Vt.T[:, ::-1]
     compressed = (U[:, :k] * sigma[:k])[:, ::-1]
     return Z, compressed, k

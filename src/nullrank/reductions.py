@@ -36,10 +36,10 @@ from .errors import ReductionError
 from .kernels import (
     EPS,
     _svd,
+    _svd_rank,
     col_compress,
     pair_kernel,
     rank_svd,
-    rank_threshold,
     row_basis,
     row_compress,
 )
@@ -353,8 +353,7 @@ def remove_nondynamic(sys: DescriptorSystem, tol: float = 0.0):
     """
     n = sys.n
     tol = _anchored_tol(tol, sys.A, sys.E)
-    U, sigma, Vt = np.linalg.svd(sys.E)
-    r = int(np.count_nonzero(sigma > tol))
+    U, sigma, Vt, r = _svd_rank(sys.E, tol, full_matrices=True)
     if r == n:
         out, U, V = sys, np.eye(n), np.eye(n)
     else:
@@ -483,8 +482,7 @@ def _projected_row_structure(M, N, tol):
     the older rows, so ``N x`` is a new row corrected by old ones.
     """
     q, r = M.shape
-    Un, sigma, Vt = _svd(N, full_matrices=True)
-    rho = int(np.count_nonzero(sigma > rank_threshold(sigma, (q, r), tol)))
+    Un, sigma, Vt, rho = _svd_rank(N, tol, full_matrices=True)
     K = Vt[rho:].T
     L = Un[:, rho:]
     Np = (Vt[:rho].T / sigma[:rho]) @ Un[:, :rho].T

@@ -69,6 +69,16 @@ def test_evalfr_raises_at_poles():
     evalfr(sys, 1.5)  # between the poles is fine
 
 
+def test_evalfr_takes_a_nan_pivot_for_a_pole():
+    # Rows 2 and 3 are equal, so lam*E - A is singular; elimination
+    # overflows to pivots (1e308, inf, nan).  A NaN pivot passes no
+    # comparison, and the pole rule keeps only pivots that pass one.
+    A = -np.array([[1.0, -1.7, 1.7], [1.0, 1.7, -1.7], [1.0, 1.7, -1.7]]) * 1e308
+    sys = make_system(A, np.zeros((3, 3)), np.ones((3, 1)), np.ones((1, 3)), [[0.0]])
+    with pytest.raises(PoleEvaluationError):
+        evalfr(sys, 0.0)
+
+
 def test_bilinear_matches_composition(rng):
     for k in range(40):
         sys = random_system(rng)

@@ -20,6 +20,7 @@ from nullrank.checks import (
     method4_freq,
     method5_pencil,
 )
+from nullrank.core import conjugate, transpose
 
 from conftest import random_system
 
@@ -239,6 +240,69 @@ def test_check_nullrank_survives_degenerate_input():
     assert all(not r.is_null for r in results)
     assert results[0].diagnostics != ""
     assert "is_regular" in results[1].diagnostics
+
+
+def test_check_nullrank_reports_a_method_error_as_a_diagnostic():
+    # M2's scan raises ValueError when lam*E - A overflows at a grid
+    # point; only check_nullrank's catch-all turns that into a verdict.
+    sys = random_system(np.random.default_rng(0), n=3)
+    huge = make_system(sys.A * 1e303, sys.E * 1e303, sys.B, sys.C, sys.D)
+    res = check_nullrank(huge, methods=(2,), tol=1e-7)[0]
+    assert not res.is_null and res.evidence == {}
+    assert res.diagnostics == "error: array must not contain infs or NaNs"
+
+
+def test_singular_pole_pencil_is_flagged_by_methods_1_2_and_4():
+    # A and E share a zero column, so det(lam*E - A) vanishes for every lam.
+    # What M3 and M5 report here is an open problem and not pinned.
+    sys = make_system([[1.0, 0.0], [2.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]],
+                      [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
+    results = check_nullrank(sys, methods=(1, 2, 4), tol=1e-7)
+    assert not any(r.is_null for r in results)
+    assert [r.diagnostics for r in results] == [
+        "stage failure: pole pencil is numerically singular",
+        "is_regular probe failed on the remapped pencil",
+        "could not find non-pole frequency",
+    ]
+
+
+# Up to 8 states and 3 inputs and outputs, empty dimensions included.
+_SHAPED = st.builds(
+    lambda n, m, p, seed, timing: random_system(np.random.default_rng(seed), n, m, p, timing),
+    st.integers(0, 8),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 2**16),
+    st.sampled_from((CONTINUOUS, DISCRETE)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_SHAPED)
+def test_structural_and_pencil_ranks_survive_transpose_and_conjugate(sys):
+    variants = [sys, transpose(sys)] + ([conjugate(sys)] if sys.timing == DISCRETE else [])
+    ranks = []
+    for variant in variants:
+        m3, m5 = check_nullrank(variant, methods=(3, 5), tol=1e-7)
+        ranks.append((m3.evidence["normal_rank"], m5.evidence["estimated_rank"]))
+    assert ranks == ranks[:1] * len(ranks), ranks
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from([(0, 2, 3), (0, 0, 0), (3, 0, 2), (3, 2, 0), (0, 2, 0), (2, 0, 0)]),
+    st.integers(0, 2**16),
+    st.booleans(),
+)
+def test_empty_dimensions_give_one_verdict_and_no_diagnostics(shape, seed, zero_d):
+    sys = random_system(np.random.default_rng(seed), *shape)
+    if zero_d:
+        sys = make_system(sys.A, sys.E, sys.B, sys.C, np.zeros_like(sys.D))
+    results = check_nullrank(sys, tol=1e-7)
+    assert all(r.diagnostics == "" for r in results), results
+    # With no dynamics the matrix is D; with no inputs or outputs it is empty.
+    null = zero_d or 0 in shape[1:]
+    assert [r.is_null for r in results] == [null] * 5, results
 
 
 def test_check_nullrank_sample_count_flows_to_sampling_methods(rng):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from nullrank import DISCRETE, make_system
 from nullrank.dssfile import dumps_system, loads_system, read_system, write_system
@@ -30,6 +31,31 @@ def test_round_trip_awkward_values():
     awk = np.array([[0.0, -0.0], [1e-308, -1.7976931348623157e308]])
     sys = make_system(awk, np.eye(2), np.ones((2, 1)),
                       [[0.1 + 0.2, 1 / 3]], [[5e-324]])
+    _assert_identical(sys, loads_system(dumps_system(sys)))
+
+
+_AWKWARD = [0.0, -0.0, 5e-324, -1e-310, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.sampled_from(("continuous", DISCRETE)),
+    st.lists(
+        st.one_of(st.sampled_from(_AWKWARD), st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@example(2, 1, 1, DISCRETE, _AWKWARD)
+def test_round_trip_is_bit_exact_on_extreme_entries(n, m, p, timing, pool):
+    shapes = [(n, n), (n, n), (n, m), (p, n), (p, m)]
+    values = np.resize(np.array(pool), sum(r * c for r, c in shapes))
+    ends = np.cumsum([r * c for r, c in shapes])
+    mats = [v.reshape(shape) for v, shape in zip(np.split(values, ends[:-1]), shapes)]
+    sys = make_system(*mats, timing)
     _assert_identical(sys, loads_system(dumps_system(sys)))
 
 

@@ -61,14 +61,20 @@ def test_tracing_layers_resolve():
         assert callable(getattr(nullrank.reductions.scipy.linalg, attr)), attr
 
 
-def _dotted(node):
+def _chain(node):
+    """``["np", "linalg", "svd"]`` for ``np.linalg.svd``; None if not a dotted name."""
     parts = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
         node = node.value
-    if isinstance(node, ast.Name) and node.id == "nr":
-        return parts[::-1]
+    if isinstance(node, ast.Name):
+        return [node.id, *parts[::-1]]
     return None
+
+
+def _dotted(node):
+    chain = _chain(node)
+    return chain[1:] if chain and chain[0] == "nr" else None
 
 
 def test_harness_names_resolve():
@@ -117,3 +123,25 @@ def test_library_code_has_a_library_caller():
         and node.name not in everywhere
     ]
     assert not idle, f"defined in nullrank but used nowhere in it: {idle}"
+
+
+def _calls(tree):
+    """``(top-level definition, dotted callee)`` for every call in a module."""
+    for top in tree.body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (chain := _chain(node.func)):
+                yield where, ".".join(chain)
+
+
+def test_rank_decisions_live_in_kernels():
+    # kernels._svd_rank is the one SVD rank rule, the place where decision
+    # margins are to be read; analysis keeps the SVDs of its gains.
+    stray = [
+        f"{path.stem}.{where}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where, name in _calls(ast.parse(path.read_text()))
+        if (name.split(".")[-1] == "rank_threshold" and path.stem != "kernels")
+        or (name.endswith("linalg.svd") and path.stem not in ("kernels", "analysis"))
+    ]
+    assert not stray, f"rank decisions outside kernels: {stray}"
