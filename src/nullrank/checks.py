@@ -263,7 +263,8 @@ def check_nullrank(
         Which tests to run, from ``{1, 2, 3, 4, 5}``; results come back
         sorted by method number.
     tol : float, optional
-        Rank/gain threshold shared by all methods.
+        Rank/gain threshold shared by all methods, a finite number of at
+        least 0.
     seed : int, optional
         Master seed; each method derives its own stream from it, so
         adding or removing one method never perturbs the others.
@@ -280,6 +281,8 @@ def check_nullrank(
     requested = sorted(set(methods))
     if not requested or not set(requested) <= set(_METHODS):
         raise ValueError(f"methods must be a non-empty subset of 1..5, got {methods!r}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number of at least 0, got {tol!r}")
     if sample_count < 1:
         raise ValueError(f"sample_count must be at least 1, got {sample_count!r}")
     results = []

@@ -17,6 +17,7 @@ flows from ``--seed``; no environment variables are consulted.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .bench import render_report, run_benchmark
@@ -40,9 +41,16 @@ def _positive_int(text):
     return int(text)
 
 
+def _tol(text):
+    tol = float(text)  # argparse reports a ValueError as a usage error too
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, got {text!r}")
+    return tol
+
+
 def _add_common(parser):
     parser.add_argument("file", help="realization in .dss format")
-    parser.add_argument("--tol", type=float, default=1e-7, help="rank/gain threshold")
+    parser.add_argument("--tol", type=_tol, default=1e-7, help="rank/gain threshold")
     parser.add_argument("--seed", type=int, default=0, help="master random seed")
     parser.add_argument(
         "--samples", type=_positive_int, default=1, help="evaluation points for methods 4 and 5"
@@ -75,7 +83,7 @@ def _build_parser():
         default=[1, 2, 3, 5, 10, 20, 50, 100, 200],
         help="comma-separated list of orders (default 1,2,3,5,10,20,50,100,200)",
     )
-    bench.add_argument("--tol", type=float, default=1e-7, help="rank/gain threshold")
+    bench.add_argument("--tol", type=_tol, default=1e-7, help="rank/gain threshold")
     bench.add_argument("--seeds", type=_positive_int, default=10, help="cases per order")
     bench.add_argument("--format", choices=["text", "csv"], default="text")
     bench.add_argument("--out", help="write the report here instead of stdout")

@@ -1,13 +1,19 @@
 """Dense rank-revealing primitives shared by the reduction algorithms.
 
-All rank decisions in the package are taken by one helper,
-:func:`_svd_rank`: it takes the SVD and counts the singular values above
-the cutoff of :func:`rank_threshold`.  A positive ``tol`` is used verbatim
-as an absolute cutoff, while ``tol = 0`` requests the default
-``max(q, r) * eps * s₁`` for a ``q x r`` matrix with largest singular
-value ``s₁`` (zero when the matrix itself is zero).  Keeping the rule in
+All rank decisions in the package follow one count rule,
+:func:`_count_rank`: the singular values above the cutoff of
+:func:`rank_threshold`, at most ``min(q, r)`` for a ``q x r`` matrix.  A
+positive ``tol`` is used verbatim as an absolute cutoff, while ``tol = 0``
+requests the default ``max(q, r) * eps * s₁`` with ``s₁`` the largest
+singular value (zero when the matrix itself is zero).  Keeping the rule in
 one place makes the rank behaviour of the staircase reductions
 reproducible and easy to reason about.
+
+The rule is fed by two SVD calls.  :func:`_svd_rank` keeps the singular
+vectors, for the compressions and bases that use them
+(:func:`row_compress`, :func:`col_compress`, :func:`row_basis`);
+:func:`rank_svd` asks LAPACK for the singular values only, since a bare
+rank needs no vector.
 """
 
 from __future__ import annotations
@@ -27,13 +33,13 @@ __all__ = [
 EPS = float(np.finfo(float).eps)
 
 
-def _svd(mat, full_matrices):
+def _svd(mat, full_matrices, compute_uv=True):
     # gesdd occasionally fails to converge on structured input; fall back
     # to the slower but sturdier gesvd driver.
     try:
-        return np.linalg.svd(mat, full_matrices=full_matrices)
+        return np.linalg.svd(mat, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
-        return scipy.linalg.svd(mat, full_matrices=full_matrices, lapack_driver="gesvd")
+        return scipy.linalg.svd(mat, full_matrices=full_matrices, compute_uv=compute_uv, lapack_driver="gesvd")
 
 
 def rank_threshold(sigma, shape, tol: float = 0.0) -> float:
@@ -56,25 +62,31 @@ def rank_threshold(sigma, shape, tol: float = 0.0) -> float:
     return max(shape) * EPS * float(sigma[0])
 
 
-def _svd_rank(mat, tol, full_matrices, shape=None):
-    """``(U, sigma, Vt, rank)`` of ``mat``: the package's one rank decision.
-
-    ``rank`` counts the singular values above :func:`rank_threshold` for
-    ``shape`` (by default ``mat.shape``), at most ``min(shape)``.
-    """
-    shape = mat.shape if shape is None else shape
-    U, sigma, Vt = _svd(mat, full_matrices)
+def _count_rank(sigma, shape, tol) -> int:
+    """The package's one rank rule: how many of ``sigma`` lie above
+    :func:`rank_threshold` for ``shape``, at most ``min(shape)``."""
     rank = int(np.count_nonzero(sigma > rank_threshold(sigma, shape, tol)))
-    return U, sigma, Vt, min(rank, *shape)
+    return min(rank, *shape)
+
+
+def _svd_rank(mat, tol, full_matrices, shape=None):
+    """``(U, sigma, Vt, rank)`` of ``mat``, ranked by :func:`_count_rank`.
+
+    ``shape`` is what the rule sees, by default ``mat.shape``.
+    """
+    U, sigma, Vt = _svd(mat, full_matrices)
+    return U, sigma, Vt, _count_rank(sigma, mat.shape if shape is None else shape, tol)
 
 
 def rank_svd(mat, tol: float = 0.0) -> int:
     """Numerical rank: singular values strictly above the effective cutoff.
 
-    Empty matrices (either dimension zero) have rank 0, as do matrices
-    whose singular values all sit at or below the cutoff.
+    Takes the singular values only, no vectors.  Empty matrices (either
+    dimension zero) have rank 0, as do matrices whose singular values all
+    sit at or below the cutoff.
     """
-    return _svd_rank(np.asarray(mat), tol, full_matrices=False)[3]
+    mat = np.asarray(mat)
+    return _count_rank(_svd(mat, False, compute_uv=False), mat.shape, tol)
 
 
 def row_compress(mat, tol: float = 0.0):

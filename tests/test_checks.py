@@ -215,6 +215,21 @@ def test_check_nullrank_rejects_empty_sample_sets(rng, count):
         check_nullrank(sys, methods=(4, 5), sample_count=count)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), -float("inf")])
+def test_check_nullrank_rejects_a_tol_that_is_not_a_finite_non_negative_number(tol):
+    # unchecked, nan and -1 would run the relative rule of tol = 0 and inf give ranks of -n
+    sys = random_stable_system(GeneratorSpec(4, 2, 3, seed=1))
+    with pytest.raises(ValueError, match="tol"):
+        check_nullrank(sys, tol=tol)
+
+
+def test_check_nullrank_accepts_tol_zero():
+    sys = random_stable_system(GeneratorSpec(4, 2, 3, seed=1))
+    results = check_nullrank(sys, methods=(3, 4, 5), tol=0.0)
+    assert not any(r.is_null for r in results)
+    assert results[0].evidence["normal_rank"] == results[2].evidence["estimated_rank"] > 0
+
+
 def test_check_nullrank_is_deterministic(rng):
     sys = _structurally_zero(rng)
     a = check_nullrank(sys, seed=3)

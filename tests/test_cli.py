@@ -142,6 +142,23 @@ def test_counts_below_one_are_usage_errors(nonzero_file, capsys, args):
     assert "--samples" in captured.err or "--seeds" in captured.err
 
 
+@pytest.mark.parametrize("command", [["check", "{file}"], ["rank", "{file}"], ["bench", "--orders", "1"]])
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "small"])
+def test_tol_that_is_not_a_finite_non_negative_number_is_a_usage_error(
+    nonzero_file, capsys, command, tol
+):
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(file=nonzero_file) for arg in command] + ["--tol", tol])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol" in captured.err
+
+
+def test_tol_zero_is_accepted(nonzero_file, capsys):
+    assert main(["rank", nonzero_file, "--tol", "0"]) == 0
+    assert int(capsys.readouterr().out) > 0
+
+
 def test_cli_requires_a_command(capsys):
     with pytest.raises(SystemExit) as info:
         main([])

@@ -1,9 +1,12 @@
 """Rank decisions and orthogonal compressions."""
 
 import numpy as np
+import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from nullrank.kernels import (
     EPS,
+    _svd_rank,
     col_compress,
     pair_kernel,
     rank_svd,
@@ -35,6 +38,75 @@ def test_rank_svd_counts_strictly_above_threshold():
     assert rank_svd(M, 1e-17) == 3
     assert rank_svd(M, 0.0) == 2  # default threshold eats 1e-16 of scale 1
     assert rank_svd(np.zeros((3, 2)), 0.0) == 0
+
+
+def test_rank_svd_asks_for_no_singular_vectors(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def recording_svd(*args, **kwargs):
+        calls.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    assert rank_svd(np.diag([3.0, 2.0, 0.0]), 1e-7) == 2
+    assert len(calls) == 1 and calls[0].get("compute_uv", True) is False
+
+
+def test_rank_svd_falls_back_to_gesvd(monkeypatch):
+    rng = np.random.default_rng(45)
+    M = rng.standard_normal((6, 3)) @ rng.standard_normal((3, 5))
+    expected = rank_svd(M, 1e-9)
+    drivers = []
+    scipy_svd = scipy.linalg.svd
+
+    def failing_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    def recording_scipy_svd(*args, **kwargs):
+        drivers.append((kwargs.get("lapack_driver"), kwargs.get("compute_uv")))
+        return scipy_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_svd)
+    monkeypatch.setattr(scipy.linalg, "svd", recording_scipy_svd)
+    assert expected == 3
+    assert rank_svd(M, 1e-9) == expected
+    assert drivers == [("gesvd", False)]
+
+
+@st.composite
+def _planted(draw):
+    """``(M, tol, rank)``: singular values planted a decade or more from the cutoff.
+
+    A ``k x k`` block with the planted values, rotated, sits at random rows
+    and columns of a ``q x r`` zero matrix.  With ``tol > 0`` the block
+    also holds values at or below ``tol / 10``; with ``tol = 0`` the zero
+    rows and columns carry the only dropped values, since the default
+    cutoff ``max(q, r) * eps * s1`` sits at the rounding level.
+    """
+    q, r = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    k = draw(st.integers(0, min(q, r)))
+    tol = 10.0 ** draw(st.integers(-12, -2)) if draw(st.booleans()) else 0.0
+    # decades from the cutoff (or from 1 when tol = 0); -inf plants a zero
+    if tol > 0:
+        decade = st.one_of(st.floats(1, 6), st.floats(-4, -1), st.just(-np.inf))
+    else:
+        decade = st.floats(-6, 0)
+    exponents = np.array(draw(st.lists(decade, min_size=k, max_size=k)), dtype=float)
+    sigma = (tol or 1.0) * 10.0**exponents
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    M = np.zeros((q, r))
+    M[np.ix_(rng.permutation(q)[:k], rng.permutation(r)[:k])] = (U * sigma) @ V.T
+    return M, tol, int(np.count_nonzero(exponents > 0)) if tol > 0 else k
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_planted())
+def test_values_only_rank_matches_the_rank_with_vectors(planted):
+    M, tol, rank = planted
+    assert rank_svd(M, tol) == _svd_rank(M, tol, full_matrices=False)[3] == rank
 
 
 def test_row_compress_layout_and_orthogonality():

@@ -135,7 +135,7 @@ def _calls(tree):
 
 
 def test_rank_decisions_live_in_kernels():
-    # kernels._svd_rank is the one SVD rank rule, the place where decision
+    # kernels._count_rank is the one SVD rank rule, the place where decision
     # margins are to be read; analysis keeps the SVDs of its gains.
     stray = [
         f"{path.stem}.{where}: {name}"
