@@ -1,9 +1,9 @@
 """Five independent tests for whether a rational matrix is identically zero.
 
-Each ``method*`` function takes a realization and returns a
-:class:`MethodResult` with the verdict, the numeric evidence it was based
-on, and the wall time spent.  The methods trade reliability against cost
-in different ways:
+Each ``method*`` function takes a realization and returns the pair
+``(is_null, evidence)``: the verdict and the numbers it was based on.  A
+method that cannot decide raises.  The methods trade reliability against
+cost in different ways:
 
 1. reduce to a minimal realization and inspect what is left;
 2. map the frequency variable so the poles move off the stability
@@ -17,7 +17,9 @@ in different ways:
 Methods 4 and 5 are sampling-based: they evaluate at points drawn from a
 continuous distribution, so a nonzero matrix is detected with probability
 one while the cost stays at a handful of dense decompositions.
-:func:`check_nullrank` runs any subset and collects the results.
+:func:`check_nullrank` runs any subset and is the one place that builds a
+:class:`MethodResult`: it times each method and turns an error into a
+not-null verdict with the error in ``diagnostics``.
 """
 
 from __future__ import annotations
@@ -67,10 +69,11 @@ class MethodResult:
         Method-specific numbers the verdict was derived from (final
         order, peak gain, estimated rank, ...).
     elapsed : float
-        Wall-clock seconds spent inside the method.
+        Wall-clock seconds :func:`check_nullrank` spent on the method.
     diagnostics : str
-        Empty on a clean run; otherwise a short note on what went wrong
-        (a failed reduction, an unusable sample, ...).
+        Empty on a clean run; otherwise the error the method raised, as
+        ``"<type>: <message>"`` (``"ReductionError: pole pencil is
+        numerically singular"``, say).
     """
 
     method: int
@@ -110,66 +113,44 @@ def draw_frequencies(seed: int, count: int = 1) -> FrequencySampleSet:
     return FrequencySampleSet(values, seed)
 
 
-def method1_minreal(sys: DescriptorSystem, tol: float = 0.0) -> MethodResult:
+def method1_minreal(sys: DescriptorSystem, tol: float = 0.0) -> tuple[bool, dict]:
     """Zero iff the minimal realization is empty with zero feedthrough."""
-    start = time.perf_counter()
-    try:
-        reduced, report = minimal_realization(sys, tol)
-    except (ReductionError, np.linalg.LinAlgError) as exc:
-        return MethodResult(
-            1, False, {}, time.perf_counter() - start, f"stage failure: {exc}"
-        )
+    reduced, report = minimal_realization(sys, tol)
     rank_d = rank_svd(reduced.D, tol)
     verdict = report.final_order == 0 and rank_d == 0
-    evidence = {"final_order": report.final_order, "rank_d": rank_d}
-    return MethodResult(1, verdict, evidence, time.perf_counter() - start)
+    return verdict, {"final_order": report.final_order, "rank_d": rank_d}
 
 
-def method2_norm(sys: DescriptorSystem, tol: float = 0.0, rng=None) -> MethodResult:
+def method2_norm(sys: DescriptorSystem, tol: float = 0.0, rng=None) -> tuple[bool, dict]:
     """Zero iff the peak boundary gain vanishes after a random remapping.
 
     A random change of frequency variable almost surely moves every pole
     off the stability boundary, making the grid scan of
     :func:`~nullrank.analysis.peak_gain` well defined.  One map is drawn and
     probed for regularity once: a map with ``a*d - b*c != 0`` keeps a
-    regular pencil regular, so a redraw could only repeat a failed probe.
+    regular pencil regular, so a redraw could only repeat a failed probe,
+    and a failed probe raises :class:`ReductionError`.
     The map and the scan draw from ``rng`` (an int seed or a generator;
     the default is a fixed seed, so repeated calls agree).
     """
-    start = time.perf_counter()
     rng = np.random.default_rng(0 if rng is None else rng)
     mapped = bilinear(sys, random_bilinear_map(rng))
     if not is_regular(mapped, tol):
-        note = "is_regular probe failed on the remapped pencil"
-        return MethodResult(2, False, {}, time.perf_counter() - start, note)
-    try:
-        gain = peak_gain(mapped, tol, rng=rng)
-    except PoleEvaluationError as exc:
-        return MethodResult(2, False, {}, time.perf_counter() - start, str(exc))
+        raise ReductionError("is_regular probe failed on the remapped pencil")
+    gain = peak_gain(mapped, tol, rng=rng)
     thresh = tol if tol > 0.0 else math.sqrt(EPS)
-    return MethodResult(
-        2, gain < thresh, {"peak_gain": gain}, time.perf_counter() - start
-    )
+    return gain < thresh, {"peak_gain": gain}
 
 
-def method3_nrank(sys: DescriptorSystem, tol: float = 0.0) -> MethodResult:
+def method3_nrank(sys: DescriptorSystem, tol: float = 0.0) -> tuple[bool, dict]:
     """Zero iff the pencil normal rank exceeds the order by nothing.
 
     The normal rank of the system pencil equals the order plus the
     normal rank of the rational matrix, so structure extraction on the
     pencil answers the question without any frequency evaluation.
     """
-    start = time.perf_counter()
-    try:
-        structure = kronecker_like(system_pencil(sys), tol)
-    except (ReductionError, np.linalg.LinAlgError) as exc:
-        return MethodResult(
-            3, False, {}, time.perf_counter() - start, f"structure extraction: {exc}"
-        )
-    r = pencil_normal_rank(structure) - sys.n
-    return MethodResult(
-        3, r == 0, {"normal_rank": r}, time.perf_counter() - start
-    )
+    r = pencil_normal_rank(kronecker_like(system_pencil(sys), tol)) - sys.n
+    return r == 0, {"normal_rank": r}
 
 
 # Tags the redraw streams of method 4 apart from the sampling streams.
@@ -203,21 +184,15 @@ def _evaluate_dodging_poles(sys, sample, tol):
     return responses
 
 
-def method4_freq(sys: DescriptorSystem, tol: float = 0.0, samples: FrequencySampleSet | None = None) -> MethodResult:
+def method4_freq(sys: DescriptorSystem, tol: float = 0.0, samples: FrequencySampleSet | None = None) -> tuple[bool, dict]:
     """Zero iff the response has rank zero at random frequency points."""
-    start = time.perf_counter()
     if samples is None:
         samples = draw_frequencies(0)
-    try:
-        responses = _evaluate_dodging_poles(sys, samples, tol)
-    except PoleEvaluationError as exc:
-        return MethodResult(4, False, {}, time.perf_counter() - start, str(exc))
-    r = max(rank_svd(resp, tol) for resp in responses)
-    evidence = {"estimated_rank": r, "samples": len(samples.values)}
-    return MethodResult(4, r == 0, evidence, time.perf_counter() - start)
+    r = max(rank_svd(resp, tol) for resp in _evaluate_dodging_poles(sys, samples, tol))
+    return r == 0, {"estimated_rank": r, "samples": len(samples.values)}
 
 
-def method5_pencil(sys: DescriptorSystem, tol: float = 0.0, samples: FrequencySampleSet | None = None) -> MethodResult:
+def method5_pencil(sys: DescriptorSystem, tol: float = 0.0, samples: FrequencySampleSet | None = None) -> tuple[bool, dict]:
     """Zero iff sampled system-pencil ranks stay at the order.
 
     Evaluates ``rank(M - lam*N) - n`` at random points of the system
@@ -225,7 +200,6 @@ def method5_pencil(sys: DescriptorSystem, tol: float = 0.0, samples: FrequencySa
     inversion, so it has no poles to dodge and remains meaningful even
     at ``tol = 0``.
     """
-    start = time.perf_counter()
     if samples is None:
         samples = draw_frequencies(0)
     pencil = system_pencil(sys)
@@ -233,11 +207,10 @@ def method5_pencil(sys: DescriptorSystem, tol: float = 0.0, samples: FrequencySa
         rank_svd(pencil.M - lam * pencil.N, tol) - sys.n
         for lam in samples.values
     )
-    evidence = {"estimated_rank": r, "samples": len(samples.values)}
-    return MethodResult(5, r == 0, evidence, time.perf_counter() - start)
+    return r == 0, {"estimated_rank": r, "samples": len(samples.values)}
 
 
-# Method k as fn(sys, tol, subseed, sample_count).
+# Method k as fn(sys, tol, subseed, sample_count) -> (is_null, evidence).
 _METHODS = {
     1: lambda sys, tol, seed, count: method1_minreal(sys, tol),
     2: lambda sys, tol, seed, count: method2_norm(sys, tol, rng=seed),
@@ -274,9 +247,10 @@ def check_nullrank(
     Returns
     -------
     list of MethodResult
-        One entry per requested method.  A method that raises is
-        reported as ``is_null=False`` with the error in ``diagnostics``
-        rather than aborting the sweep.
+        One entry per requested method, timed here.  A method that raises
+        is reported as ``is_null=False`` with empty evidence and the
+        error in ``diagnostics``, as ``"<type>: <message>"``; only an
+        invalid argument makes this function raise.
     """
     requested = sorted(set(methods))
     if not requested or not set(requested) <= set(_METHODS):
@@ -289,10 +263,9 @@ def check_nullrank(
     for k in requested:
         start = time.perf_counter()
         try:
-            res = _METHODS[k](sys, tol, seed * 8 + k, sample_count)
-        except Exception as exc:  # M2's ValueError for a non-finite shifted pencil
-            res = MethodResult(
-                k, False, {}, time.perf_counter() - start, f"error: {exc}"
-            )
-        results.append(res)
+            is_null, evidence = _METHODS[k](sys, tol, seed * 8 + k, sample_count)
+            note = ""
+        except Exception as exc:
+            is_null, evidence, note = False, {}, f"{type(exc).__name__}: {exc}"
+        results.append(MethodResult(k, is_null, evidence, time.perf_counter() - start, note))
     return results

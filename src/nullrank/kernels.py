@@ -147,16 +147,14 @@ def pair_kernel(R, X, tol: float):
 def col_compress(mat, tol: float = 0.0):
     """Orthogonally compress the columns of ``mat`` to the right.
 
-    Returns ``(Z, R, rank)`` with ``Z`` square orthogonal such that
+    Returns ``(Z, rank)`` with ``Z`` square orthogonal such that
     ``mat @ Z`` equals ``[0, R]`` up to discarded singular values below
     the cutoff; ``R`` has ``rank`` columns and full column rank.
     """
     mat = np.asarray(mat, dtype=float)
     q, r = mat.shape
     if q == 0 or r == 0:
-        return np.eye(r), np.zeros((q, 0)), 0
-    U, sigma, Vt, k = _svd_rank(mat, tol, full_matrices=True)
-    Z = Vt.T[:, ::-1]
-    compressed = (U[:, :k] * sigma[:k])[:, ::-1]
-    return Z, compressed, k
+        return np.eye(r), 0
+    _, _, Vt, k = _svd_rank(mat, tol, full_matrices=True)
+    return Vt.T[:, ::-1], k
 

@@ -183,14 +183,13 @@ def _ctrb_reduce(sys: DescriptorSystem, tol: float):
         A = Qk.T @ A
         Q[:, :nc] = Q[:, :nc] @ Qk
         lower = A[rho:, :]
-        Zk, _, tau = col_compress(lower, tol)
+        Zk, tau = col_compress(lower, tol)
         if tau < nc - rho:
             raise ReductionError("pole pencil is numerically singular")
         A = A @ Zk
         E = E @ Zk
         C = C @ Zk
         Z[:, :nc] = Z[:, :nc] @ Zk
-        A[rho:, :rho] = 0.0
         # The trailing block is constant and invertible: all infinite,
         # none of it fed by the inputs.  Keep the leading part.
         A = A[:rho, :rho]
@@ -449,7 +448,7 @@ def _dense_row_structure(M, N, tol):
         rt = r - j
         if rt == 0:
             break
-        Zk, _, rho = col_compress(N[i:, j:], tol)
+        Zk, rho = col_compress(N[i:, j:], tol)
         if rho == rt:
             break
         width = rt - rho

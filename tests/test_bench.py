@@ -93,7 +93,7 @@ def test_zero_case_passes_a_cheap_method():
     from nullrank.checks import method5_pencil
 
     case = build_zero_case(1, seed=0)
-    assert method5_pencil(case, 1e-7).is_null
+    assert method5_pencil(case, 1e-7)[0]
 
 
 # ----------------------------------------------------------------- run_benchmark

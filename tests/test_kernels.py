@@ -150,14 +150,16 @@ def test_col_compress_puts_kernel_columns_first():
         q, r = rng.integers(1, 8, size=2)
         k = int(rng.integers(0, min(q, r) + 1))
         M = rng.standard_normal((q, k)) @ rng.standard_normal((k, r))
-        Z, comp, rank = col_compress(M, 0.0)
+        Z, rank = col_compress(M, 0.0)
         assert rank == k
         assert np.allclose(Z.T @ Z, np.eye(r), atol=1e-13)
         out = M @ Z
         assert np.linalg.norm(out[:, : r - rank]) <= 1e-12 * max(
             1.0, np.linalg.norm(M)
         )
-        assert comp.shape == (q, rank)
+        # the trailing rank columns carry every nonzero singular value
+        sigma = np.linalg.svd(M, compute_uv=False)[:rank]
+        assert np.allclose(np.linalg.svd(out[:, r - rank :], compute_uv=False), sigma)
 
 
 def test_pair_kernel_matches_the_ratios_of_a_direct_formula():

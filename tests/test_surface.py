@@ -145,3 +145,21 @@ def test_rank_decisions_live_in_kernels():
         or (name.endswith("linalg.svd") and path.stem not in ("kernels", "analysis"))
     ]
     assert not stray, f"rank decisions outside kernels: {stray}"
+
+
+def test_check_nullrank_alone_builds_and_times_the_records():
+    # The methods return (is_null, evidence) and raise; one loop times them
+    # and writes every record, so one rule decides what a failure reads.
+    built = [
+        f"{path.stem}.{where}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for where, name in _calls(ast.parse(path.read_text()))
+        if name.split(".")[-1] == "MethodResult"
+    ]
+    assert built == ["checks.check_nullrank"], built
+    timed = {
+        where
+        for where, name in _calls(ast.parse((PACKAGE / "checks.py").read_text()))
+        if name.split(".")[-1] == "perf_counter"
+    }
+    assert timed == {"check_nullrank"}, timed
