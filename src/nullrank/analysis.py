@@ -8,29 +8,40 @@ Point evaluation (:func:`evalfr`) calls LAPACK's ``zgetrf`` and ``zgetrs``
 wrappers' overhead.
 
 The boundary scan (:func:`peak_gain`) factors the pencil once instead of
-once per grid point.  One real QZ decomposition (LAPACK ``dgges``)
-gives ``Q^T (lam*E - A) Z = lam*T - S`` with ``T`` upper triangular and
-``S`` quasi-triangular, whose 1x1 and 2x2 diagonal blocks are read off
-``S``'s subdiagonal.  Everything stays real:
+once per grid point.  At the real shift ``sigma``
+(:data:`~nullrank.core.PROBE_POINT`, where :func:`~nullrank.core.is_regular`
+probes) it takes the LU of ``P = A - sigma*E`` (LAPACK ``dgetrf``) and the
+real Schur form ``K = U S U^T`` of ``K = P^-1 E``, with ``S``
+quasi-triangular; its 1x1 and 2x2 diagonal blocks are read off ``S``'s
+subdiagonal.  With ``mu = lam - sigma`` and ``nu = 1/mu``::
+
+    lam*E - A = -P (I - mu*K),    (lam*E - A)^-1 = -nu U (nu*I - S)^-1 U^T P^-1
+
+An infinite eigenvalue of the pencil is an eigenvalue ``0`` of ``K``, and
+scaling ``A`` and ``E`` together leaves ``K`` as it is.  Everything stays
+real:
 
 * **Pole rule.**  :func:`_off_pole`, the pivot-ratio rule that
   :func:`evalfr` applies to its LU, applied to the diagonal blocks of
-  ``lam*T - S``: a grid point is a pole, and is skipped, when the
+  ``I - mu*S``: a grid point is a pole, and is skipped, when the
   smallest pivot is at most ``cut`` times the largest (``cut`` is the
-  scan's ``tol``, or ``16 n eps``).  The pivots are
-  ``|d_kk|`` for a 1x1 block and, for a 2x2 block ``[[a, b], [c, d]]``,
-  those of its partial-pivoted LU: ``max(|a|, |c|)`` and ``|det|`` over
-  it.  ``sqrt|det|`` in their place would keep a grid point that sits on
-  a complex pole pair at the default ``cut``.
-* **Solve.**  ``(lam*T - S) Y = Q^T B`` is solved for all kept points
+  scan's ``tol``, or ``16 n eps``).  The pivots are ``|mu|`` times those
+  of ``nu*I - S``: ``|nu - s|`` for a 1x1 block and, for a 2x2 block
+  ``[[a, b], [c, d]]``, those of its partial-pivoted LU: ``max(|a|, |c|)``
+  and ``|det|`` over it.  ``sqrt|det|`` in their place would keep a grid
+  point that sits on a complex pole pair at the default ``cut``.  An
+  infinite eigenvalue reads pivot 1.  The LU of ``P`` goes through the
+  same rule at ``16 n eps``: a pole at ``sigma`` raises.
+* **Solve.**  ``(nu*I - S) Y = U^T P^-1 B`` is solved for all kept points
   together by a blocked back substitution.  Inside a panel of about
   :data:`_PANEL` columns, a Python loop runs over the diagonal blocks,
   vectorised over the points (explicit 2x2 solves); the rows above a
-  panel are updated by real matrix products of ``T`` and ``S`` with the
-  panel's solution, its real and imaginary parts side by side.
+  panel are updated by one real matrix product of ``S`` with the panel's
+  solution, its real and imaginary parts side by side.
 * **Refinement.**  One step of iterative refinement against the original
-  ``lam*E - A`` follows, reusing the factorization.  Without it a peak
-  gain of a certified-zero case can come within a decade of ``1e-7``.
+  ``lam*E - A`` follows, its correction solved through the same factors.
+  Without it a peak gain of a certified-zero case can come within a
+  decade of ``1e-7``.
 * **Chunks.**  Points are processed in chunks, so that an ``N x points x m``
   complex work array stays within :data:`_CHUNK_BYTES`; at most four of
   these arrays are alive at a time.
@@ -40,9 +51,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import zgetrf, zgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
 
-from .core import BilinearMap, DescriptorSystem, bilinear
+from .core import PROBE_POINT, BilinearMap, DescriptorSystem, bilinear
 from .errors import PoleEvaluationError
 from .kernels import EPS
 
@@ -166,58 +177,49 @@ def _panels(S):
 
 
 class _QuasiTriangular:
-    """The pencil ``lam*T - S`` of a real QZ, solved at many points at once."""
+    """``nu*I - S`` for the quasi-triangular ``S`` of a real Schur form, solved at many points at once."""
 
-    def __init__(self, S, T):
-        self.S, self.T = S, T
+    def __init__(self, S):
+        self.S = S
         self.panels = _panels(S)
         blocks = [block for panel in self.panels for block in panel[2]]
         self.ones = np.array([k for k, size in blocks if size == 1], dtype=int)
         self.twos = np.array([k for k, size in blocks if size == 2], dtype=int)
 
-    def _two_by_two(self, lam, k):
-        """``a, b, c, d`` of the 2x2 diagonal block of ``lam*T - S`` at row ``k``."""
-        S, T = self.S, self.T
-        return (
-            lam * T[k, k] - S[k, k],
-            lam * T[k, k + 1] - S[k, k + 1],
-            -S[k + 1, k],  # T is triangular
-            lam * T[k + 1, k + 1] - S[k + 1, k + 1],
-        )
+    def _two_by_two(self, nu, k):
+        """``a, b, c, d`` of the 2x2 diagonal block of ``nu*I - S`` at row ``k``."""
+        S = self.S
+        return nu - S[k, k], -S[k, k + 1], -S[k + 1, k], nu - S[k + 1, k + 1]
 
-    def pivots(self, lam):
+    def pivots(self, nu):
         """Pivot moduli of the partial-pivoted LU of every diagonal block, per point."""
-        S, T, k = self.S, self.T, self.ones
-        a, b, c, d = self._two_by_two(lam[:, None], self.twos)
+        a, b, c, d = self._two_by_two(nu[:, None], self.twos)
         first = np.maximum(np.abs(a), np.abs(c))  # c = -S[k + 1, k] is nonzero
         second = np.abs(a * d - b * c) / first
-        return np.hstack([np.abs(lam[:, None] * T[k, k] - S[k, k]), first, second])
+        k = self.ones
+        return np.hstack([np.abs(nu[:, None] - self.S[k, k]), first, second])
 
-    def _subtract_product(self, Y, rows, cols, lam):
-        """``Y[rows] -= (lam*T - S)[rows, cols] Y[cols]`` at every point, in place."""
-        target, solved = Y[slice(*rows)], Y[slice(*cols)]
-        prod = _apply(self.T[slice(*rows), slice(*cols)], solved)
-        prod *= lam[:, None]
-        target -= prod
-        target += _apply(self.S[slice(*rows), slice(*cols)], solved, out=prod)
+    def _subtract_product(self, Y, rows, cols):
+        """``Y[rows] -= (nu*I - S)[rows, cols] Y[cols]`` at every point, in place."""
+        Y[slice(*rows)] += _apply(self.S[slice(*rows), slice(*cols)], Y[slice(*cols)])
 
-    def solve(self, lam, Y):
-        """Overwrite ``Y`` (N, points, m) with ``(lam_j T - S)^-1 Y[:, j]``."""
-        S, T = self.S, self.T
+    def solve(self, nu, Y):
+        """Overwrite ``Y`` (N, points, m) with ``(nu_j I - S)^-1 Y[:, j]``."""
+        S = self.S
         for start, end, blocks in reversed(self.panels):
             for k, size in reversed(blocks):
                 if size == 1:
-                    Y[k] /= (lam * T[k, k] - S[k, k])[:, None]
+                    Y[k] /= (nu - S[k, k])[:, None]
                 else:
-                    a, b, c, d = self._two_by_two(lam[:, None], k)
+                    a, b, c, d = self._two_by_two(nu[:, None], k)
                     det = a * d - b * c
                     y0, y1 = Y[k].copy(), Y[k + 1]
                     Y[k] = (d * y0 - b * y1) / det
                     Y[k + 1] = (a * y1 - c * y0) / det
                 if k > start:
-                    self._subtract_product(Y, (start, k), (k, k + size), lam)
+                    self._subtract_product(Y, (start, k), (k, k + size))
             if start > 0:
-                self._subtract_product(Y, (0, start), (start, end), lam)
+                self._subtract_product(Y, (0, start), (start, end))
         return Y
 
 
@@ -232,21 +234,28 @@ def _apply(M, Y, out=None):
     return flat.view(complex).reshape(M.shape[0], *Y.shape[1:])
 
 
-def _refined_solve(sys, qt, Q, Z, lam):
+def _refined_solve(sys, lu, piv, qt, U, UPB, lam):
     """``(lam_j E - A)^-1 B`` at every point ``lam_j``, refined once, (N, points, m).
 
-    Three work arrays of that shape are reused; a solve adds a fourth.
+    ``lu, piv`` is the LU of ``P``, ``qt`` and ``U`` the Schur form of
+    ``P^-1 E``, and ``UPB`` is ``U^T P^-1 B``.  Three work arrays of that
+    shape are reused; a solve adds a fourth.
     """
+    nu = 1.0 / (lam - PROBE_POINT)
     Y = np.empty((sys.n, lam.size, sys.m), dtype=complex)
-    Y[...] = (Q.T @ sys.B)[:, None, :]
-    X = _apply(Z, qt.solve(lam, Y))
+    Y[...] = UPB[:, None, :]
+    X = _apply(U, qt.solve(nu, Y))
+    X *= -nu[:, None]
     # residual B - (lam E - A) X against the unfactored pencil, in Y
     R = _apply(sys.A, X, out=Y)
     W = _apply(sys.E, X)
     W *= lam[:, None]
     R -= W
     R += sys.B[:, None, :]
-    X += _apply(Z, qt.solve(lam, _apply(Q.T, R, out=W)), out=Y)
+    np.matmul(U.T, dgetrs(lu, piv, _real(R))[0], out=_real(W))
+    correction = _apply(U, qt.solve(nu, W), out=Y)
+    correction *= -nu[:, None]
+    X += correction
     return X
 
 
@@ -269,7 +278,8 @@ def peak_gain(sys: DescriptorSystem, tol: float = 0.0, rng=None):
     Raises
     ------
     PoleEvaluationError
-        If every grid point sits on a pole.
+        If every grid point sits on a pole, or the shift point
+        :data:`~nullrank.core.PROBE_POINT` of the factorization does.
     ValueError
         If ``lam*E - A`` has a non-finite entry at a grid point.
     """
@@ -281,17 +291,22 @@ def peak_gain(sys: DescriptorSystem, tol: float = 0.0, rng=None):
     # not warn about it, nor about a response that overflows later.
     with np.errstate(over="ignore", invalid="ignore"):
         _check_finite(sys, grid)
-        S, T, Q, Z = scipy.linalg.qz(sys.A, sys.E, output="real")
-        qt = _QuasiTriangular(S, T)
-        kept = grid[_off_pole(sys, qt.pivots(grid), tol)]
+        lu, piv, _ = dgetrf(sys.A - PROBE_POINT * sys.E, overwrite_a=True)
+        if not _off_pole(sys, np.abs(np.diag(lu)), 0.0):
+            raise PoleEvaluationError(f"the scan's shift point is a pole (sigma = {PROBE_POINT})")
+        S, U = scipy.linalg.schur(dgetrs(lu, piv, sys.E)[0], output="real", overwrite_a=True)
+        qt = _QuasiTriangular(S)
+        mu = grid - PROBE_POINT
+        kept = grid[_off_pole(sys, qt.pivots(1.0 / mu) * np.abs(mu)[:, None], tol)]
         if kept.size == 0:
             raise PoleEvaluationError("every grid point lies on a pole")
         if sys.p == 0 or sys.m == 0:
             return 0.0
+        UPB = U.T @ dgetrs(lu, piv, sys.B)[0]
         step = max(1, _CHUNK_BYTES // (16 * sys.n * sys.m))
         best = 0.0
         for start in range(0, kept.size, step):
-            X = _refined_solve(sys, qt, Q, Z, kept[start : start + step])
+            X = _refined_solve(sys, lu, piv, qt, U, UPB, kept[start : start + step])
             G = _apply(sys.C, X) + sys.D[:, None, :]
             gains = np.linalg.svd(G.transpose(1, 0, 2), compute_uv=False)[:, 0]
             best = max(best, float(gains.max()))

@@ -142,6 +142,14 @@ def method2_norm(sys: DescriptorSystem, tol: float = 0.0, rng=None) -> tuple[boo
     return gain < thresh, {"peak_gain": gain}
 
 
+def _rank_above_order(rank, n):
+    """``rank - n`` for a system-pencil rank; a rank below the order ``n``
+    means ``tol`` dropped part of the pole pencil, which raises."""
+    if rank < n:
+        raise ReductionError(f"system pencil rank {rank} is below the order {n}")
+    return rank - n
+
+
 def method3_nrank(sys: DescriptorSystem, tol: float = 0.0) -> tuple[bool, dict]:
     """Zero iff the pencil normal rank exceeds the order by nothing.
 
@@ -149,7 +157,7 @@ def method3_nrank(sys: DescriptorSystem, tol: float = 0.0) -> tuple[bool, dict]:
     normal rank of the rational matrix, so structure extraction on the
     pencil answers the question without any frequency evaluation.
     """
-    r = pencil_normal_rank(kronecker_like(system_pencil(sys), tol)) - sys.n
+    r = _rank_above_order(pencil_normal_rank(kronecker_like(system_pencil(sys), tol)), sys.n)
     return r == 0, {"normal_rank": r}
 
 
@@ -204,7 +212,7 @@ def method5_pencil(sys: DescriptorSystem, tol: float = 0.0, samples: FrequencySa
         samples = draw_frequencies(0)
     pencil = system_pencil(sys)
     r = max(
-        rank_svd(pencil.M - lam * pencil.N, tol) - sys.n
+        _rank_above_order(rank_svd(pencil.M - lam * pencil.N, tol), sys.n)
         for lam in samples.values
     )
     return r == 0, {"estimated_rank": r, "samples": len(samples.values)}

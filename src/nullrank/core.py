@@ -41,6 +41,7 @@ __all__ = [
     "DISCRETE",
     "DescriptorSystem",
     "LinearPencil",
+    "PROBE_POINT",
     "bilinear",
     "conjugate",
     "is_regular",
@@ -52,6 +53,10 @@ __all__ = [
 CONTINUOUS = "continuous"
 DISCRETE = "discrete"
 _TIMINGS = (CONTINUOUS, DISCRETE)
+
+# The one fixed pseudo-random real point where the pencil is probed
+# (:func:`is_regular`) and factored (``analysis.peak_gain``), about 0.1379.
+PROBE_POINT = float(np.random.default_rng(0x5EED).uniform(0.0, 1.0))
 
 
 def _as_matrix(value, name):
@@ -203,8 +208,9 @@ def make_system(A, E, B, C, D, timing=CONTINUOUS) -> DescriptorSystem:
 def is_regular(sys: DescriptorSystem, tol: float = 0.0) -> bool:
     """Probabilistically test regularity of the pole pencil.
 
-    Evaluates the pencil at one fixed pseudo-random real point and
-    reports ``True`` when it has full rank there at the given tolerance.
+    Evaluates the pencil at the fixed pseudo-random real point
+    :data:`PROBE_POINT` and reports ``True`` when it has full rank there
+    at the given tolerance.
     A pencil with ``det(A - lam*E)`` identically zero is rank deficient at
     every point, so one point decides it; a regular pencil can only be
     misjudged if the point happens to hit an eigenvalue, which has
@@ -215,8 +221,7 @@ def is_regular(sys: DescriptorSystem, tol: float = 0.0) -> bool:
     """
     if sys.n == 0:
         return True
-    lam = np.random.default_rng(0x5EED).uniform(0.0, 1.0)
-    return kernels.rank_svd(sys.A - lam * sys.E, tol) == sys.n
+    return kernels.rank_svd(sys.A - PROBE_POINT * sys.E, tol) == sys.n
 
 
 @dataclass(frozen=True)

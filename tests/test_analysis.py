@@ -9,9 +9,9 @@ import scipy.linalg
 from nullrank import CONTINUOUS, DISCRETE, PoleEvaluationError, analysis, bench, make_system
 from nullrank.analysis import _boundary_grid, evalfr, peak_gain, random_bilinear_map
 from nullrank.checks import method2_norm
-from nullrank.core import BilinearMap, bilinear
+from nullrank.core import PROBE_POINT, BilinearMap, bilinear
 
-from conftest import haar_orthogonal, random_system
+from conftest import haar_orthogonal, random_system, system_with_nondynamic_modes
 
 
 def test_bilinear_map_rejects_degenerate_coefficients():
@@ -165,6 +165,17 @@ def test_peak_gain_raises_when_no_point_is_evaluable():
         peak_gain(sys)
 
 
+def test_peak_gain_raises_when_the_shift_point_is_a_pole():
+    # The scan factors lam*E - A at core.PROBE_POINT; a pole exactly there
+    # leaves an exactly singular LU, which must not warn.
+    sys = make_system(np.diag([PROBE_POINT, -1.0]), np.eye(2), np.ones((2, 1)),
+                      np.ones((1, 2)), [[0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PoleEvaluationError, match="shift point"):
+            peak_gain(sys)
+
+
 def _reference_evalfr(sys, lam, rtol=0.0):
     """The scipy-wrapper evaluation that evalfr's LAPACK calls must match."""
     if sys.n == 0:
@@ -200,11 +211,20 @@ def _with_pole_on_boundary(rng, timing):
     return make_system(A, sys.E, sys.B, sys.C, sys.D, timing)
 
 
-@pytest.mark.parametrize("case", ["continuous", "discrete", "continuous pole", "discrete pole"])
+@pytest.mark.parametrize("case", [
+    "continuous", "discrete", "continuous pole", "discrete pole",
+    "continuous algebraic", "discrete algebraic",
+])
 def test_evalfr_and_peak_gain_bit_identical_to_scipy_wrappers(rng, case):
     timing = DISCRETE if case.startswith("discrete") else CONTINUOUS
     for k in range(5):
-        if case.endswith("pole"):
+        if case.endswith("algebraic"):
+            # singular E: the scan's P^-1 E has w eigenvalues at 0 (infinite poles)
+            r, w = (int(v) for v in rng.integers(1, 20, size=2))
+            base = system_with_nondynamic_modes(rng, r, w, m=2, p=3)
+            sys = make_system(base.A, base.E, base.B, base.C, base.D, timing)
+            assert np.linalg.matrix_rank(sys.E) == r
+        elif case.endswith("pole"):
             sys = _with_pole_on_boundary(rng, timing)
             first = _boundary_grid(sys, np.random.default_rng(k))[0]
             with pytest.raises(PoleEvaluationError):

@@ -1,5 +1,6 @@
 """The five zero-ness tests and their shared driver."""
 
+import re
 from functools import cache
 
 import numpy as np
@@ -324,24 +325,30 @@ def test_check_nullrank_turns_a_raised_error_into_a_record(monkeypatch, k):
     assert res == MethodResult(k, False, {}, res.elapsed, f"{type(error).__name__}: {error}")
 
 
-def _scaled_self_difference(scale):
+def _scaled_self_difference(base, scale):
     # Scaling A and E by s maps G - D to (G - D)/s, so this stays zero.
-    base = random_system(np.random.default_rng(0), n=3)
     diff = subtract(base, base)
-    return make_system(diff.A * scale, diff.E * scale, diff.B, diff.C, diff.D)
+    return make_system(diff.A * scale, diff.E * scale, diff.B, diff.C, diff.D, diff.timing)
 
 
-@pytest.mark.parametrize("scale", [
-    1e7,
-    pytest.param(1e8, marks=pytest.mark.xfail(
-        strict=True,
-        reason="M2's pole rule reads tol as a relative pivot ratio, and every ratio of "
-        "the remapped pencil is about 1/scale (README, Known limits)",
-    )),
-])
+@pytest.mark.parametrize("scale", [1e7, 1e8, 1e12])
 def test_method2_accepts_a_self_difference_with_a_and_e_scaled(scale):
-    [res] = check_nullrank(_scaled_self_difference(scale), methods=(2,), tol=1e-7)
-    assert res.is_null, res
+    # The scan's pole rule reads pivots of I - mu*K with K = P^-1 E, where
+    # the scale cancels.
+    for base in (random_system(np.random.default_rng(0), n=3),
+                 random_stable_system(GeneratorSpec(4, 2, 3, seed=1))):
+        [res] = check_nullrank(_scaled_self_difference(base, scale), methods=(2,), tol=1e-7)
+        assert res.is_null, (base.timing, res)
+
+
+def test_a_pencil_rank_below_the_order_is_an_error():
+    # Scaled down by 1e-7, the pole pencil's singular values fall below the
+    # absolute tol, and the system pencil's rank below the order.
+    base = random_stable_system(GeneratorSpec(4, 2, 3, seed=1))
+    for res in check_nullrank(_scaled_self_difference(base, 1e-7), methods=(3, 5), tol=1e-7):
+        assert not res.is_null and res.evidence == {}, res
+        assert re.fullmatch(r"ReductionError: system pencil rank \d is below the order 8",
+                            res.diagnostics), res
 
 
 # Up to 8 states and 3 inputs and outputs, empty dimensions included.

@@ -147,6 +147,20 @@ def test_rank_decisions_live_in_kernels():
     assert not stray, f"rank decisions outside kernels: {stray}"
 
 
+def test_one_probe_point_and_no_qz():
+    # core.PROBE_POINT is the one seeded point where is_regular probes and
+    # peak_gain factors; the scan works from a real Schur form, not a QZ.
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert sum(text.upper().count("0X5EED") for text in sources.values()) == 1
+    qz = [
+        f"{stem}.{where}: {name}"
+        for stem, text in sources.items()
+        for where, name in _calls(ast.parse(text))
+        if name.endswith("linalg.qz")
+    ]
+    assert not qz, qz
+
+
 def test_check_nullrank_alone_builds_and_times_the_records():
     # The methods return (is_null, evidence) and raise; one loop times them
     # and writes every record, so one rule decides what a failure reads.
