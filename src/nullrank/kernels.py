@@ -1,8 +1,9 @@
 """Dense rank-revealing primitives shared by the reduction algorithms.
 
 All rank decisions in the package follow one count rule,
-:func:`_count_rank`: the singular values above the cutoff of
-:func:`rank_threshold`, at most ``min(q, r)`` for a ``q x r`` matrix.  A
+:func:`_count_rank`: the singular values not at or below the cutoff of
+:func:`rank_threshold`, at most ``min(q, r)`` for a ``q x r`` matrix, so a
+NaN from an overflowing matrix counts as nonzero and never lowers a rank.  A
 positive ``tol`` is used verbatim as an absolute cutoff, while ``tol = 0``
 requests the default ``max(q, r) * eps * s₁`` with ``s₁`` the largest
 singular value (zero when the matrix itself is zero).  Keeping the rule in
@@ -63,9 +64,9 @@ def rank_threshold(sigma, shape, tol: float = 0.0) -> float:
 
 
 def _count_rank(sigma, shape, tol) -> int:
-    """The package's one rank rule: how many of ``sigma`` lie above
-    :func:`rank_threshold` for ``shape``, at most ``min(shape)``."""
-    rank = int(np.count_nonzero(sigma > rank_threshold(sigma, shape, tol)))
+    """The package's one rank rule: how many of ``sigma`` are not at or below
+    :func:`rank_threshold` for ``shape`` (NaN counts), at most ``min(shape)``."""
+    rank = int(np.count_nonzero(~(sigma <= rank_threshold(sigma, shape, tol))))
     return min(rank, *shape)
 
 
@@ -79,7 +80,7 @@ def _svd_rank(mat, tol, full_matrices, shape=None):
 
 
 def rank_svd(mat, tol: float = 0.0) -> int:
-    """Numerical rank: singular values strictly above the effective cutoff.
+    """Numerical rank: singular values not at or below the effective cutoff.
 
     Takes the singular values only, no vectors.  Empty matrices (either
     dimension zero) have rank 0, as do matrices whose singular values all

@@ -20,7 +20,7 @@ pencils: one SVD of ``N`` and thin stair decisions, ``O(n^3)``.  Small
 pencils keep the dense loop, which takes the SVD of the whole trailing
 block at every stair (``O(n^4)`` in the worst case) and is faster there.
 The controllability staircase isolates its infinite structure with the
-same dense loop, run on the pole pencil ``A - lam*E``.
+same extraction, run on the pole pencil ``A - lam*E``.
 """
 
 from __future__ import annotations
@@ -207,7 +207,7 @@ def _ctrb_reduce(sys: DescriptorSystem, tol: float):
     # this the finite stairs would mix near-kernel directions of E into
     # their rank decisions, with unbounded growth factors.  These are the
     # stairs of the pencil A - lam*E itself; every one must be square.
-    Q2, Z2, ninf, cols = _dense_row_structure(A, E, tol)
+    Q2, Z2, ninf, cols = _extract_row_structure(A, E, tol)
     if ninf != cols:
         raise ReductionError("pole pencil is numerically singular")
     if ninf > 0:
@@ -434,11 +434,7 @@ def _extract_row_structure(M, N, tol):
 
 
 def _dense_row_structure(M, N, tol):
-    """:func:`_extract_row_structure` by an SVD of the trailing block per stair.
-
-    Also the infinite-structure pass of :func:`_ctrb_reduce`, on the pole
-    pencil ``A - lam*E`` at every size.
-    """
+    """:func:`_extract_row_structure` by an SVD of the trailing block per stair."""
     q, r = M.shape
     Q = np.eye(q)
     Z = np.eye(r)

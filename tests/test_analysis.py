@@ -265,9 +265,18 @@ def test_evalfr_rejects_non_finite_shifts(rng):
             evalfr(sys, complex(np.nan, 0.0))
         with pytest.raises(ValueError):
             evalfr(big, 1e10)  # lam*E overflows to inf
+        # lam*E overflows at the top of the frequency grid, but the scan
+        # never forms it: the gain is the one of E scaled by 1e300.
         huge = make_system(sys.A, 1e305 * np.eye(3), sys.B, sys.C, sys.D)
-        with pytest.raises(ValueError):
-            peak_gain(huge)  # overflows at the top of the frequency grid
+        assert peak_gain(huge) == peak_gain(big)
+
+
+def test_peak_gain_refuses_a_response_that_overflows():
+    # G(lam) = 1e310 / (lam + 0.5): every gain is NaN or inf, and none may
+    # pass for zero.
+    sys = make_system([[-0.5]], [[1.0]], [[1e5]], [[1e305]], [[0.0]])
+    with pytest.raises(ValueError, match="the response is not finite at a grid point"):
+        peak_gain(sys)
 
 
 def _complex_pole_pairs(rng, pairs, timing, on_grid=False):

@@ -263,14 +263,25 @@ def test_check_nullrank_survives_degenerate_input():
     assert results[1].diagnostics == "ReductionError: is_regular probe failed on the remapped pencil"
 
 
+# G(lam) = 1e310 / (lam + 0.5): the response overflows at every point.
+_OVERFLOWING = ([[-0.5]], [[1.0]], [[1e5]], [[1e305]], [[0.0]])
+
+
 def test_check_nullrank_reports_a_method_error_as_a_diagnostic():
-    # M2's scan raises ValueError when lam*E - A overflows at a grid
+    # M2's scan raises ValueError when the response overflows at a grid
     # point; only check_nullrank's catch-all turns that into a verdict.
-    sys = random_system(np.random.default_rng(0), n=3)
-    huge = make_system(sys.A * 1e303, sys.E * 1e303, sys.B, sys.C, sys.D)
-    res = check_nullrank(huge, methods=(2,), tol=1e-7)[0]
+    res = check_nullrank(make_system(*_OVERFLOWING), methods=(2,), tol=1e-7)[0]
     assert not res.is_null and res.evidence == {}
-    assert res.diagnostics == "ValueError: array must not contain infs or NaNs"
+    assert res.diagnostics == "ValueError: the response is not finite at a grid point"
+
+
+@pytest.mark.parametrize("timing", [CONTINUOUS, DISCRETE])
+def test_an_overflowing_response_is_never_accepted(timing):
+    # M2's gains and M4's response singular values come out NaN; neither
+    # may read as zero.  evalfr's C @ X warns about the overflow.
+    with pytest.warns(RuntimeWarning):
+        results = check_nullrank(make_system(*_OVERFLOWING, timing), tol=1e-7)
+    assert not any(r.is_null for r in results), results
 
 
 def _singular_pole_pencil():
@@ -339,6 +350,17 @@ def test_method2_accepts_a_self_difference_with_a_and_e_scaled(scale):
                  random_stable_system(GeneratorSpec(4, 2, 3, seed=1))):
         [res] = check_nullrank(_scaled_self_difference(base, scale), methods=(2,), tol=1e-7)
         assert res.is_null, (base.timing, res)
+
+
+@pytest.mark.parametrize("scale", [1e14, 1e303], ids=["1e14", "1e303"])
+def test_method2_names_the_causes_of_a_singular_shift_point(scale):
+    # P = A - sigma*E holds the scaled block beside the remapping's unit
+    # block, so its pivot ratio is about 1/scale (README, Known limits).
+    base = random_system(np.random.default_rng(0), n=3)
+    [res] = check_nullrank(_scaled_self_difference(base, scale), methods=(2,), tol=1e-7)
+    assert not res.is_null
+    assert res.diagnostics.startswith("PoleEvaluationError: the scan's shift point"), res
+    assert "scaled far from the remapping's unit block" in res.diagnostics
 
 
 def test_a_pencil_rank_below_the_order_is_an_error():

@@ -40,6 +40,15 @@ def test_rank_svd_counts_strictly_above_threshold():
     assert rank_svd(np.zeros((3, 2)), 0.0) == 0
 
 
+def test_an_infinite_entry_never_lowers_the_rank():
+    # LAPACK returns NaN singular values here; the count rule reads NaN as
+    # not zero, with and without singular vectors.
+    M = np.array([[np.inf, 1.0], [1.0, 1.0], [0.0, 2.0]])
+    for tol in (1e-7, 0.0):
+        assert rank_svd(M, tol) == 2
+        assert _svd_rank(M, tol, False)[3] == 2
+
+
 def test_rank_svd_asks_for_no_singular_vectors(monkeypatch):
     calls = []
     svd = np.linalg.svd
