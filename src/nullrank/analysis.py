@@ -117,20 +117,21 @@ def evalfr(sys: DescriptorSystem, lam, rtol: float = 0.0) -> np.ndarray:
         return sys.D.astype(complex)
     lam = complex(lam)
     # An infinite or overflowing shift is caught by the finiteness check
-    # below; numpy need not warn while forming it.
+    # below, and an overflowing response by the rules that read it; numpy
+    # need not warn about either.
     with np.errstate(over="ignore", invalid="ignore"):
         T = lam * sys.E - sys.A
-    if not np.isfinite(T).all():
-        raise ValueError("array must not contain infs or NaNs")
-    lu, piv, info = zgetrf(T, overwrite_a=True)
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal getrf")
-    if not _off_pole(sys, np.abs(np.diag(lu)), rtol):
-        raise PoleEvaluationError(f"evaluation at a pole (lam = {lam})")
-    B = sys.B.astype(complex)
-    if B.shape[1]:  # zgetrs gets no empty right-hand side
-        B = zgetrs(lu, piv, B)[0]
-    return sys.D + sys.C @ B
+        if not np.isfinite(T).all():
+            raise ValueError("array must not contain infs or NaNs")
+        lu, piv, info = zgetrf(T, overwrite_a=True)
+        if info < 0:
+            raise ValueError(f"illegal value in {-info}th argument of internal getrf")
+        if not _off_pole(sys, np.abs(np.diag(lu)), rtol):
+            raise PoleEvaluationError(f"evaluation at a pole (lam = {lam})")
+        B = sys.B.astype(complex)
+        if B.shape[1]:  # zgetrs gets no empty right-hand side
+            B = zgetrs(lu, piv, B)[0]
+        return sys.D + sys.C @ B
 
 
 def _boundary_grid(sys, rng):

@@ -137,18 +137,16 @@ def build_zero_case(n: int, seed: int) -> DescriptorSystem:
 class BenchRow:
     """One benchmark case: requested order, actual order, and outcomes.
 
-    ``decisions`` and ``timings`` have five slots indexed by method
-    number; a case that could not be built holds ``None`` and ``0.0``.
-    ``N`` is the order of the constructed case (at least ``2 n``, being
-    a difference of two order-at-least-``n`` realizations).
+    ``results`` holds the five :class:`~nullrank.checks.MethodResult`
+    records that :func:`~nullrank.checks.check_nullrank` returned, in
+    method order.  ``N`` is the order of the constructed case (at least
+    ``2 n``, being a difference of two order-at-least-``n`` realizations).
     """
 
     n: int
     N: int
     seed: int
-    decisions: tuple
-    timings: tuple
-    diagnostics: tuple = ()
+    results: tuple
 
 
 def run_benchmark(
@@ -159,9 +157,10 @@ def run_benchmark(
     For every order in ``orders`` and every seed in
     ``range(seeds_per_order)`` this builds a zero case and runs all five
     methods on it at tolerance ``tol``.  Rows come back ordered by
-    ``(n, seed)``.  A failure — in construction or inside a
-    method — is recorded in the row's diagnostics and the sweep moves
-    on; it never aborts.  Decisions are deterministic in
+    ``(n, seed)``.  A method that fails is recorded in its result's
+    diagnostics and the sweep moves on; a case that cannot be built
+    raises (``ValueError`` for a negative order, ``RuntimeError`` for a
+    failed spot check).  Decisions are deterministic in
     ``(orders, tol, seeds_per_order)``; timings are wall-clock.
     """
     orders = sorted(orders)
@@ -170,50 +169,24 @@ def run_benchmark(
     rows = []
     for n in orders:
         for seed in range(seeds_per_order):
-            try:
-                case = build_zero_case(n, seed)
-            except Exception as exc:
-                rows.append(
-                    BenchRow(
-                        n,
-                        0,
-                        seed,
-                        (None,) * 5,
-                        (0.0,) * 5,
-                        (f"construction: {exc}",),
-                    )
-                )
-                continue
-            results = check_nullrank(case, tol=tol, seed=seed)
-            decisions = tuple(res.is_null for res in results)
-            timings = tuple(res.elapsed for res in results)
-            notes = tuple(
-                f"M{res.method}: {res.diagnostics}" for res in results if res.diagnostics
-            )
-            rows.append(BenchRow(n, case.n, seed, decisions, timings, notes))
+            case = build_zero_case(n, seed)
+            results = tuple(check_nullrank(case, tol=tol, seed=seed))
+            rows.append(BenchRow(n, case.n, seed, results))
     return rows
 
 
 def method_totals(rows) -> tuple:
-    """Total elapsed seconds per method across rows (``None`` if never run)."""
-    totals = [None] * 5
-    for row in rows:
-        for k in range(5):
-            if row.decisions[k] is not None:
-                totals[k] = (totals[k] or 0.0) + row.timings[k]
-    return tuple(totals)
+    """Total elapsed seconds per method across rows."""
+    return tuple(sum(row.results[k].elapsed for row in rows) for k in range(5))
 
 
 def _decision_cell(rows, k):
-    votes = [row.decisions[k] for row in rows if row.decisions[k] is not None]
-    if not votes:
-        return "-"
-    hits = sum(votes)
-    if hits == len(votes):
+    hits = sum(row.results[k].is_null for row in rows)
+    if hits == len(rows):
         return "1"
     if hits == 0:
         return "0"
-    return f"{hits}/{len(votes)}"
+    return f"{hits}/{len(rows)}"
 
 
 def _render_text(rows):
@@ -233,11 +206,12 @@ def _render_text(rows):
     lines.append("")
     lines.append(f"totals over {len(rows)} cases, seconds")
     for k, total in enumerate(method_totals(rows), start=1):
-        lines.append(f"    M{k}  {'-' if total is None else format(total, '.6f')}")
+        lines.append(f"    M{k}  {total:.6f}")
     notes = [
-        f"    n={row.n} seed={row.seed}  {note}"
+        f"    n={row.n} seed={row.seed}  M{res.method}: {res.diagnostics}"
         for row in rows
-        for note in row.diagnostics
+        for res in row.results
+        if res.diagnostics
     ]
     if notes:
         lines.append("")
@@ -249,11 +223,8 @@ def _render_text(rows):
 def _render_csv(rows):
     lines = ["n,N,seed,m1,m2,m3,m4,m5,t1,t2,t3,t4,t5"]
     for row in rows:
-        marks = ["" if d is None else str(int(d)) for d in row.decisions]
-        times = [
-            "" if d is None else format(t, ".6f")
-            for d, t in zip(row.decisions, row.timings)
-        ]
+        marks = [str(int(res.is_null)) for res in row.results]
+        times = [format(res.elapsed, ".6f") for res in row.results]
         lines.append(",".join([str(row.n), str(row.N), str(row.seed), *marks, *times]))
     return "\n".join(lines) + "\n"
 
@@ -262,10 +233,10 @@ def render_report(rows, format: str = "text") -> str:
     """Format benchmark rows as an aligned text table or as CSV.
 
     The text layout groups rows by order: a decision column shows ``1``
-    or ``0`` when the seeds were unanimous and ``k/s`` otherwise, with
-    ``-`` for methods that were not run, followed by per-method total
-    times and any diagnostics.  The CSV layout is one line per row with
-    columns ``n,N,seed,m1..m5,t1..t5`` (times in seconds, 6 decimals).
+    or ``0`` when the seeds were unanimous and ``k/s`` otherwise, followed
+    by per-method total times and any diagnostics.  The CSV layout is one
+    line per row with columns ``n,N,seed,m1..m5,t1..t5`` (times in
+    seconds, 6 decimals).
     """
     if format == "text":
         return _render_text(rows)

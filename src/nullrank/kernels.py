@@ -36,11 +36,14 @@ EPS = float(np.finfo(float).eps)
 
 def _svd(mat, full_matrices, compute_uv=True):
     # gesdd occasionally fails to converge on structured input; fall back
-    # to the slower but sturdier gesvd driver.
+    # to the slower but sturdier gesvd driver.  gesdd also fails on a NaN
+    # entry; gesvd then returns NaN singular values, as gesdd does for inf.
     try:
         return np.linalg.svd(mat, full_matrices=full_matrices, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
-        return scipy.linalg.svd(mat, full_matrices=full_matrices, compute_uv=compute_uv, lapack_driver="gesvd")
+        return scipy.linalg.svd(
+            mat, full_matrices=full_matrices, compute_uv=compute_uv, check_finite=False, lapack_driver="gesvd"
+        )
 
 
 def rank_threshold(sigma, shape, tol: float = 0.0) -> float:

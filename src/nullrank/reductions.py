@@ -566,11 +566,7 @@ def kronecker_like(pencil: LinearPencil, tol: float = 0.0) -> KroneckerStructure
     # Right structure on what is left of the pencil.
     qb = q - left_rows
     rb = r - left_cols
-    Msub = M2[:qb, :rb].copy()
-    Nsub = N2[:qb, :rb].copy()
-    QB, ZB, right_rows, right_cols = _extract_row_structure(Msub, Nsub, tol)
-    M2[:qb, :rb] = Msub
-    N2[:qb, :rb] = Nsub
+    QB, ZB, right_rows, right_cols = _extract_row_structure(M2[:qb, :rb], N2[:qb, :rb], tol)
     M2[:qb, rb:] = QB.T @ M2[:qb, rb:]
     N2[:qb, rb:] = QB.T @ N2[:qb, rb:]
     Q = QA.copy()

@@ -58,7 +58,7 @@ def large_order_sweep():
 
 
 def _tally(rows, method):
-    votes = [row.decisions[method - 1] for row in rows]
+    votes = [row.results[method - 1].is_null for row in rows]
     return sum(bool(v) for v in votes), len(votes)
 
 
@@ -68,7 +68,7 @@ def test_criterion_1_all_five_methods_accept_small_zero_cases(small_order_sweep)
         (row.n, row.seed, k)
         for row in rows
         for k in range(1, 6)
-        if row.decisions[k - 1] is not True
+        if row.results[k - 1].is_null is not True
     ]
     tallies = ", ".join(
         f"M{k}: {_tally(rows, k)[0]}/{_tally(rows, k)[1]}" for k in range(1, 6)
@@ -95,8 +95,8 @@ def test_criterion_2_sampling_methods_hold_up_at_large_orders(large_order_sweep)
                 f"order {n} (recorded, non-gated results: {recorded})"
             )
         for row in group:
-            assert row.timings[3] < 5.0, f"M4 took {row.timings[3]:.2f}s on one case"
-            assert row.timings[4] < 5.0, f"M5 took {row.timings[4]:.2f}s on one case"
+            assert row.results[3].elapsed < 5.0, f"M4 took {row.results[3].elapsed:.2f}s on one case"
+            assert row.results[4].elapsed < 5.0, f"M5 took {row.results[4].elapsed:.2f}s on one case"
 
 
 def test_criterion_3_differences_of_independent_systems_are_rejected():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nullrank import DISCRETE
+from nullrank import DISCRETE, MethodResult, check_nullrank
 from nullrank.analysis import evalfr
 from nullrank.bench import (
     BenchRow,
@@ -109,48 +109,64 @@ def test_run_benchmark_row_layout_and_order():
     assert [(r.n, r.seed) for r in rows] == [(1, 0), (1, 1), (2, 0), (2, 1)]
     for row in rows:
         assert row.N == 2 * row.n + 5
-        assert len(row.decisions) == len(row.timings) == 5
-        assert None not in row.decisions and min(row.timings) > 0.0
-        assert row.diagnostics == ()
+        assert [res.method for res in row.results] == [1, 2, 3, 4, 5]
+        assert min(res.elapsed for res in row.results) > 0.0
+        assert all(res.diagnostics == "" for res in row.results)
+
+
+def test_run_benchmark_rows_hold_the_records_of_check_nullrank():
+    def record(res):  # everything but the wall-clock time
+        return res.method, res.is_null, res.evidence, res.diagnostics
+
+    for row in run_benchmark([1, 3], tol=1e-6, seeds_per_order=2):
+        want = check_nullrank(build_zero_case(row.n, row.seed), tol=1e-6, seed=row.seed)
+        assert [record(r) for r in row.results] == [record(r) for r in want]
 
 
 def test_run_benchmark_decisions_are_deterministic():
     a = run_benchmark([1], seeds_per_order=3)
     b = run_benchmark([1], seeds_per_order=3)
-    assert [r.decisions for r in a] == [r.decisions for r in b]
-    assert all(all(r.decisions) for r in a)
+    verdicts = [[res.is_null for res in r.results] for r in a]
+    assert verdicts == [[res.is_null for res in r.results] for r in b]
+    assert all(all(v) for v in verdicts)
 
 
-def test_run_benchmark_records_construction_failures(monkeypatch):
+def test_run_benchmark_raises_on_a_case_it_cannot_build(monkeypatch):
+    with pytest.raises(ValueError, match="nonnegative"):
+        run_benchmark([-1])
+
     def boom(n, seed):
         raise RuntimeError("spot check tripped")
 
     monkeypatch.setattr("nullrank.bench.build_zero_case", boom)
-    rows = run_benchmark([3], seeds_per_order=2)
-    assert len(rows) == 2
-    for row in rows:
-        assert row.N == 0
-        assert row.decisions == (None,) * 5
-        assert row.diagnostics and "construction" in row.diagnostics[0]
+    with pytest.raises(RuntimeError, match="spot check tripped"):
+        run_benchmark([3], seeds_per_order=2)
+
+
+def _result(method, is_null, elapsed, diagnostics=""):
+    return MethodResult(method, is_null, {}, elapsed, diagnostics)
+
+
+def _row(n, N, seed, verdicts, times, notes=None):
+    notes = notes or {}
+    return BenchRow(n, N, seed, tuple(
+        _result(k, v, t, notes.get(k, ""))
+        for k, (v, t) in enumerate(zip(verdicts, times), start=1)
+    ))
 
 
 def test_bench_row_is_frozen():
-    row = BenchRow(1, 7, 0, (None,) * 5, (0.0,) * 5)
+    row = _row(1, 7, 0, (True,) * 5, (0.0,) * 5)
     with pytest.raises(AttributeError):
         row.n = 2
 
 
-def test_method_totals_sums_only_what_ran():
+def test_method_totals_sums_each_method_over_rows():
     rows = [
-        BenchRow(1, 7, 0, (True, None, None, True, None),
-                 (0.5, 0.0, 0.0, 0.25, 0.0)),
-        BenchRow(1, 7, 1, (False, None, None, True, None),
-                 (0.25, 0.0, 0.0, 0.25, 0.0)),
+        _row(1, 7, 0, (True, True, False, True, True), (0.5, 0.125, 1.0, 0.25, 0.0625)),
+        _row(1, 7, 1, (False, True, False, True, True), (0.25, 0.125, 2.0, 0.25, 0.0625)),
     ]
-    totals = method_totals(rows)
-    assert totals[0] == 0.75
-    assert totals[1] is None and totals[2] is None and totals[4] is None
-    assert totals[3] == 0.5
+    assert method_totals(rows) == (0.75, 0.25, 3.0, 0.5, 0.125)
 
 
 # ------------------------------------------------------------------- rendering
@@ -158,11 +174,11 @@ def test_method_totals_sums_only_what_ran():
 
 def _synthetic_rows():
     return [
-        BenchRow(1, 7, 0, (True, True, None, False, True),
-                 (0.125, 0.25, 0.0, 0.0625, 0.03125)),
-        BenchRow(1, 7, 1, (True, False, None, False, True),
-                 (0.125, 0.25, 0.0, 0.0625, 0.03125),
-                 ("M2: what happened",)),
+        _row(1, 7, 0, (True, True, False, False, True),
+             (0.125, 0.25, 0.5, 0.0625, 0.03125)),
+        _row(1, 7, 1, (True, False, False, False, True),
+             (0.125, 0.25, 0.5, 0.0625, 0.03125),
+             {2: "ValueError: what happened"}),
     ]
 
 
@@ -170,17 +186,17 @@ def test_render_text_golden():
     want = (
         " order  actual  cases     M1     M2     M3     M4     M5\n"
         "------  ------  -----  -----  -----  -----  -----  -----\n"
-        "     1       7      2      1    1/2      -      0      1\n"
+        "     1       7      2      1    1/2      0      0      1\n"
         "\n"
         "totals over 2 cases, seconds\n"
         "    M1  0.250000\n"
         "    M2  0.500000\n"
-        "    M3  -\n"
+        "    M3  1.000000\n"
         "    M4  0.125000\n"
         "    M5  0.062500\n"
         "\n"
         "notes\n"
-        "    n=1 seed=1  M2: what happened\n"
+        "    n=1 seed=1  M2: ValueError: what happened\n"
     )
     assert render_report(_synthetic_rows(), format="text") == want
 
@@ -200,8 +216,9 @@ def test_render_csv_layout():
     first = lines[1].split(",")
     assert len(first) == 13
     assert first[:3] == ["1", "7", "0"]
-    assert first[3:8] == ["1", "1", "", "0", "1"]
-    assert first[8] == "0.125000" and first[10] == ""
+    assert first[3:8] == ["1", "1", "0", "0", "1"]
+    assert first[8:] == ["0.125000", "0.250000", "0.500000", "0.062500", "0.031250"]
+    assert lines[2].split(",")[3:8] == ["1", "0", "0", "0", "1"]
 
 
 def test_render_csv_empty_is_header_only():

@@ -278,10 +278,14 @@ def test_check_nullrank_reports_a_method_error_as_a_diagnostic():
 @pytest.mark.parametrize("timing", [CONTINUOUS, DISCRETE])
 def test_an_overflowing_response_is_never_accepted(timing):
     # M2's gains and M4's response singular values come out NaN; neither
-    # may read as zero.  evalfr's C @ X warns about the overflow.
-    with pytest.warns(RuntimeWarning):
-        results = check_nullrank(make_system(*_OVERFLOWING, timing), tol=1e-7)
+    # may read as zero.  Warnings are errors, so a warning that escaped
+    # evalfr would show up as a diagnostic.
+    results = check_nullrank(make_system(*_OVERFLOWING, timing), tol=1e-7)
     assert not any(r.is_null for r in results), results
+    assert [r.diagnostics for r in results] == [
+        "", "ValueError: the response is not finite at a grid point", "", "", ""
+    ]
+    assert results[3].evidence["estimated_rank"] == 1
 
 
 def _singular_pole_pencil():

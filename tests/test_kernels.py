@@ -1,6 +1,7 @@
 """Rank decisions and orthogonal compressions."""
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
@@ -47,6 +48,18 @@ def test_an_infinite_entry_never_lowers_the_rank():
     for tol in (1e-7, 0.0):
         assert rank_svd(M, tol) == 2
         assert _svd_rank(M, tol, False)[3] == 2
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_nan_or_infinite_entry_reads_as_full_rank(bad):
+    # gesdd fails on a NaN entry and the gesvd fallback takes it without a
+    # finiteness check, so a NaN matrix takes the inf matrix's path.
+    for M, want in (([[bad]], 1), ([[bad, 1.0], [1.0, 2.0]], 2), ([[bad, 1.0], [1.0, 1.0], [0.0, 2.0]], 2)):
+        M = np.array(M)
+        for tol in (1e-7, 0.0):
+            assert rank_svd(M, tol) == want
+            U, rank = row_basis(M, tol)
+            assert rank == want and U.shape == (len(M), want)
 
 
 def test_rank_svd_asks_for_no_singular_vectors(monkeypatch):
