@@ -70,11 +70,12 @@ _PANEL = 32  # columns per panel of the blocked back substitution
 _CHUNK_BYTES = 1 << 20  # bound on one complex N x points x m work array
 
 
-def random_bilinear_map(rng=None) -> BilinearMap:
-    """Draw a random, well-conditioned change of variable.
+def random_bilinear_map(rng) -> BilinearMap:
+    """Draw a random, well-conditioned change of variable from ``rng``.
 
-    Coefficients are uniform on ``(0, 1)``, redrawn until the determinant
-    ``a*d - b*c`` exceeds ``0.1`` in magnitude.
+    ``rng`` is an int seed or a generator.  Coefficients are uniform on
+    ``(0, 1)``, redrawn until the determinant ``a*d - b*c`` exceeds ``0.1``
+    in magnitude.
     """
     rng = np.random.default_rng(rng)
     while True:
@@ -247,7 +248,7 @@ def _refined_solve(sys, lu, piv, qt, U, UPB, lam):
     return X
 
 
-def peak_gain(sys: DescriptorSystem, tol: float = 0.0, rng=None):
+def peak_gain(sys: DescriptorSystem, tol: float = 0.0, rng=0):
     """Largest frequency-response gain over a stability-boundary grid.
 
     Scans the boundary of the stability domain (the imaginary axis for
@@ -260,8 +261,7 @@ def peak_gain(sys: DescriptorSystem, tol: float = 0.0, rng=None):
 
     Grid points that hit a pole are skipped (the pole rule of the module
     docstring, with ``tol`` as the threshold when it is positive).  All
-    the randomness comes from ``rng`` (an int seed or a generator; the
-    default is a fixed seed, making the scan deterministic).
+    the randomness comes from ``rng``, an int seed or a generator.
 
     Raises
     ------
@@ -272,7 +272,7 @@ def peak_gain(sys: DescriptorSystem, tol: float = 0.0, rng=None):
         If the response is not finite at a kept grid point (it overflows),
         so that no overflow can pass for a zero gain.
     """
-    rng = np.random.default_rng(0 if rng is None else rng)
+    rng = np.random.default_rng(rng)
     grid = _boundary_grid(sys, rng)
     if sys.n == 0:
         return float(np.linalg.svd(sys.D, compute_uv=False)[0]) if sys.D.size else 0.0

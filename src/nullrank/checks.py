@@ -20,11 +20,19 @@ one while the cost stays at a handful of dense decompositions.
 :func:`check_nullrank` runs any subset and is the one place that builds a
 :class:`MethodResult`: it times each method and turns an error into a
 not-null verdict with the error in ``diagnostics``.
+
+Every random draw comes from an integer ``seed``.  Method 2 draws its map
+and scan points from ``default_rng(seed)``.  Methods 4 and 5 read the
+point streams of :func:`draw_frequencies`: row ``i`` comes from the
+generator seeded with ``[seed, i]``, its first draw is sample point ``i``
+and its next five are the points method 4 tries, in order, when point
+``i`` is a pole; method 5 reads only the first draw of each row.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -42,7 +50,6 @@ from .reductions import (
 )
 
 __all__ = [
-    "FrequencySampleSet",
     "MethodResult",
     "check_nullrank",
     "draw_frequencies",
@@ -83,34 +90,21 @@ class MethodResult:
     diagnostics: str = ""
 
 
-@dataclass(frozen=True)
-class FrequencySampleSet:
-    """An explicit, reproducible set of evaluation points.
+# Draws per point stream: the sample point and five replacements for a pole.
+_STREAM = 6
 
-    ``values`` holds the points; ``seed`` records where they came from so
-    follow-up draws (e.g. to step off a pole) stay deterministic.  An
-    empty ``values`` raises ``ValueError``: a rank over no samples is no
-    evidence.
+
+def draw_frequencies(seed: int, count: int = 1) -> np.ndarray:
+    """The ``count x 6`` point streams of methods 4 and 5, uniform on ``(0, 1)``.
+
+    Row ``i`` holds the first six draws of the generator seeded with
+    ``[seed, i]``, so a larger ``count`` adds rows and keeps the leading
+    ones.  A ``count`` below 1 raises ``ValueError``: a rank over no
+    samples is no evidence.
     """
-
-    values: tuple
-    seed: int
-
-    def __post_init__(self):
-        if len(self.values) == 0:
-            raise ValueError("FrequencySampleSet needs at least one point")
-
-
-def draw_frequencies(seed: int, count: int = 1) -> FrequencySampleSet:
-    """Draw evaluation points uniform on ``(0, 1)``, one at a time.
-
-    Drawing ``count=k`` gives the same leading points as ``count=k-1``
-    with the same seed, so enlarging a sample set refines rather than
-    reshuffles it.  Other points (on the unit circle, say) go to methods
-    4 and 5 as an explicit :class:`FrequencySampleSet`.
-    """
-    values = tuple(np.random.default_rng([seed, i]).uniform() for i in range(count))
-    return FrequencySampleSet(values, seed)
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count!r}")
+    return np.array([np.random.default_rng([seed, i]).uniform(size=_STREAM) for i in range(count)])
 
 
 def method1_minreal(sys: DescriptorSystem, tol: float = 0.0) -> tuple[bool, dict]:
@@ -121,7 +115,7 @@ def method1_minreal(sys: DescriptorSystem, tol: float = 0.0) -> tuple[bool, dict
     return verdict, {"final_order": report.final_order, "rank_d": rank_d}
 
 
-def method2_norm(sys: DescriptorSystem, tol: float = 0.0, rng=None) -> tuple[bool, dict]:
+def method2_norm(sys: DescriptorSystem, tol: float = 0.0, seed: int = 0) -> tuple[bool, dict]:
     """Zero iff the peak boundary gain vanishes after a random remapping.
 
     A random change of frequency variable almost surely moves every pole
@@ -130,10 +124,9 @@ def method2_norm(sys: DescriptorSystem, tol: float = 0.0, rng=None) -> tuple[boo
     probed for regularity once: a map with ``a*d - b*c != 0`` keeps a
     regular pencil regular, so a redraw could only repeat a failed probe,
     and a failed probe raises :class:`ReductionError`.
-    The map and the scan draw from ``rng`` (an int seed or a generator;
-    the default is a fixed seed, so repeated calls agree).
+    The map and the scan draw from ``default_rng(seed)``.
     """
-    rng = np.random.default_rng(0 if rng is None else rng)
+    rng = np.random.default_rng(seed)
     mapped = bilinear(sys, random_bilinear_map(rng))
     if not is_regular(mapped, tol):
         raise ReductionError("is_regular probe failed on the remapped pencil")
@@ -161,71 +154,57 @@ def method3_nrank(sys: DescriptorSystem, tol: float = 0.0) -> tuple[bool, dict]:
     return r == 0, {"normal_rank": r}
 
 
-# Tags the redraw streams of method 4 apart from the sampling streams.
-_REDRAW_TAG = 0x9A17
+def _evaluate_off_poles(sys, stream, tol):
+    """The response at the first point of ``stream`` that is not a pole.
 
-
-def _evaluate_dodging_poles(sys, sample, tol):
-    """Evaluate at each sample point, stepping off poles deterministically.
-
-    A point that lands on a pole is replaced by up to five fresh draws
-    seeded from the sample set's own seed and the point's index, so two
-    points that hit poles get different replacements; a point that stays
-    on a pole after that raises :class:`PoleEvaluationError`.
+    A point that stays on a pole through the whole stream raises
+    :class:`PoleEvaluationError`.
     """
-    responses = []
-    for index, lam in enumerate(sample.values):
+    for lam in stream:
         try:
-            responses.append(evalfr(sys, lam, rtol=tol))
-            continue
+            return evalfr(sys, lam, rtol=tol)
         except PoleEvaluationError:
-            pass
-        redraw = np.random.default_rng([sample.seed, _REDRAW_TAG, index])
-        for cand in redraw.uniform(size=5):
-            try:
-                responses.append(evalfr(sys, cand, rtol=tol))
-                break
-            except PoleEvaluationError:
-                continue
-        else:
-            raise PoleEvaluationError("could not find non-pole frequency")
-    return responses
+            continue
+    raise PoleEvaluationError("could not find non-pole frequency")
 
 
-def method4_freq(sys: DescriptorSystem, tol: float = 0.0, samples: FrequencySampleSet | None = None) -> tuple[bool, dict]:
-    """Zero iff the response has rank zero at random frequency points."""
-    if samples is None:
-        samples = draw_frequencies(0)
-    r = max(rank_svd(resp, tol) for resp in _evaluate_dodging_poles(sys, samples, tol))
-    return r == 0, {"estimated_rank": r, "samples": len(samples.values)}
+def method4_freq(sys: DescriptorSystem, tol: float = 0.0, seed: int = 0, count: int = 1) -> tuple[bool, dict]:
+    """Zero iff the response has rank zero at ``count`` random frequency points."""
+    streams = draw_frequencies(seed, count).tolist()  # Python floats iterate faster than numpy scalars
+    r = max(rank_svd(_evaluate_off_poles(sys, stream, tol), tol) for stream in streams)
+    return r == 0, {"estimated_rank": r, "samples": count}
 
 
-def method5_pencil(sys: DescriptorSystem, tol: float = 0.0, samples: FrequencySampleSet | None = None) -> tuple[bool, dict]:
+def method5_pencil(sys: DescriptorSystem, tol: float = 0.0, seed: int = 0, count: int = 1) -> tuple[bool, dict]:
     """Zero iff sampled system-pencil ranks stay at the order.
 
-    Evaluates ``rank(M - lam*N) - n`` at random points of the system
-    pencil ``(M, N)``.  Unlike a response evaluation this needs no
+    Evaluates ``rank(M - lam*N) - n`` at ``count`` random points of the
+    system pencil ``(M, N)``.  Unlike a response evaluation this needs no
     inversion, so it has no poles to dodge and remains meaningful even
     at ``tol = 0``.
     """
-    if samples is None:
-        samples = draw_frequencies(0)
+    points = draw_frequencies(seed, count)[:, 0].tolist()
     pencil = system_pencil(sys)
-    r = max(
-        _rank_above_order(rank_svd(pencil.M - lam * pencil.N, tol), sys.n)
-        for lam in samples.values
-    )
-    return r == 0, {"estimated_rank": r, "samples": len(samples.values)}
+    r = max(_rank_above_order(rank_svd(pencil.M - lam * pencil.N, tol), sys.n) for lam in points)
+    return r == 0, {"estimated_rank": r, "samples": count}
 
 
 # Method k as fn(sys, tol, subseed, sample_count) -> (is_null, evidence).
 _METHODS = {
     1: lambda sys, tol, seed, count: method1_minreal(sys, tol),
-    2: lambda sys, tol, seed, count: method2_norm(sys, tol, rng=seed),
+    2: lambda sys, tol, seed, count: method2_norm(sys, tol, seed),
     3: lambda sys, tol, seed, count: method3_nrank(sys, tol),
-    4: lambda sys, tol, seed, count: method4_freq(sys, tol, draw_frequencies(seed, count)),
-    5: lambda sys, tol, seed, count: method5_pencil(sys, tol, draw_frequencies(seed, count)),
+    4: method4_freq,
+    5: method5_pencil,
 }
+
+
+def _integer(value, name):
+    """``value`` as an ``int``; a ``TypeError`` naming ``name`` if it is not one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_nullrank(
@@ -247,10 +226,11 @@ def check_nullrank(
         Rank/gain threshold shared by all methods, a finite number of at
         least 0.
     seed : int, optional
-        Master seed; each method derives its own stream from it, so
-        adding or removing one method never perturbs the others.
+        Master seed, at least 0.  Method ``k`` runs with the sub-seed
+        ``seed * 8 + k``, so adding or removing one method never perturbs
+        the others.
     sample_count : int, optional
-        Size of the sample sets for methods 4 and 5, at least 1.
+        Number of points methods 4 and 5 sample, at least 1.
 
     Returns
     -------
@@ -260,11 +240,14 @@ def check_nullrank(
         error in ``diagnostics``, as ``"<type>: <message>"``; only an
         invalid argument makes this function raise.
     """
-    requested = sorted(set(methods))
+    requested = sorted({_integer(k, "each of methods") for k in methods})
     if not requested or not set(requested) <= set(_METHODS):
         raise ValueError(f"methods must be a non-empty subset of 1..5, got {methods!r}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be a finite number of at least 0, got {tol!r}")
+    seed, sample_count = _integer(seed, "seed"), _integer(sample_count, "sample_count")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed!r}")
     if sample_count < 1:
         raise ValueError(f"sample_count must be at least 1, got {sample_count!r}")
     results = []

@@ -9,7 +9,8 @@ Three subcommands::
 ``check`` prints one ``method=<k> isnull=<0|1> ...`` line per requested
 method and exits 0 when all of them report null, 1 when any reports
 non-null, and 2 on an input problem.  ``rank`` prints the sampled
-normal-rank estimate as a decimal integer.  ``bench`` sweeps the
+normal-rank estimate as a decimal integer, or exits 2 with method 5's
+diagnostic on stderr when that method fails.  ``bench`` sweeps the
 certified-zero cases and prints (or writes) the report.  All randomness
 flows from ``--seed``; no environment variables are consulted.
 """
@@ -35,10 +36,13 @@ def _parse_orders(text):
     return orders
 
 
-def _positive_int(text):
-    if not (text.isdecimal() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return int(text)
+def _int_at_least(least):
+    def parse(text):
+        if not (text.isdecimal() and int(text) >= least):
+            raise argparse.ArgumentTypeError(f"must be an integer of at least {least}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _tol(text):
@@ -51,9 +55,9 @@ def _tol(text):
 def _add_common(parser):
     parser.add_argument("file", help="realization in .dss format")
     parser.add_argument("--tol", type=_tol, default=1e-7, help="rank/gain threshold")
-    parser.add_argument("--seed", type=int, default=0, help="master random seed")
+    parser.add_argument("--seed", type=_int_at_least(0), default=0, help="master random seed")
     parser.add_argument(
-        "--samples", type=_positive_int, default=1, help="evaluation points for methods 4 and 5"
+        "--samples", type=_int_at_least(1), default=1, help="evaluation points for methods 4 and 5"
     )
 
 
@@ -84,7 +88,7 @@ def _build_parser():
         help="comma-separated list of orders (default 1,2,3,5,10,20,50,100,200)",
     )
     bench.add_argument("--tol", type=_tol, default=1e-7, help="rank/gain threshold")
-    bench.add_argument("--seeds", type=_positive_int, default=10, help="cases per order")
+    bench.add_argument("--seeds", type=_int_at_least(1), default=10, help="cases per order")
     bench.add_argument("--format", choices=["text", "csv"], default="text")
     bench.add_argument("--out", help="write the report here instead of stdout")
     return parser
@@ -124,6 +128,9 @@ def _run_rank(args):
     if sys_ is None:
         return 2
     res = check_nullrank(sys_, (5,), tol=args.tol, seed=args.seed, sample_count=args.samples)[0]
+    if res.diagnostics:
+        print(f"nullrank: method 5 failed: {res.diagnostics}", file=sys.stderr)
+        return 2
     print(res.evidence["estimated_rank"])
     return 0
 

@@ -22,7 +22,6 @@ from nullrank.bench import (
     run_benchmark,
 )
 from nullrank.checks import (
-    draw_frequencies,
     method3_nrank,
     method4_freq,
     method5_pencil,
@@ -173,10 +172,9 @@ def test_criterion_7_structure_and_sampling_agree_on_normal_rank():
             sys = system_with_nondynamic_modes(rng, r, w)
         else:
             sys = random_system(rng, n=int(rng.integers(1, 11)))
-        samples = draw_frequencies(i, count=5)
         r3 = method3_nrank(sys, TOL)[1]["normal_rank"]
-        r4 = method4_freq(sys, TOL, samples)[1]["estimated_rank"]
-        r5 = method5_pencil(sys, TOL, samples)[1]["estimated_rank"]
+        r4 = method4_freq(sys, TOL, i, 5)[1]["estimated_rank"]
+        r5 = method5_pencil(sys, TOL, i, 5)[1]["estimated_rank"]
         assert r3 == r4 == r5, (
             f"rank disagreement on case {i}: structure={r3}, "
             f"response samples={r4}, pencil samples={r5}"

@@ -20,9 +20,8 @@ from nullrank import checks
 from nullrank.analysis import evalfr
 from nullrank.bench import GeneratorSpec, random_stable_system
 from nullrank.checks import (
-    FrequencySampleSet,
     MethodResult,
-    _evaluate_dodging_poles,
+    _evaluate_off_poles,
     draw_frequencies,
     method1_minreal,
     method2_norm,
@@ -55,28 +54,27 @@ def _structurally_zero(rng, n=4):
 def test_draw_frequencies_is_deterministic_and_prefix_stable():
     a = draw_frequencies(17, count=4)
     b = draw_frequencies(17, count=4)
-    assert a.values == b.values
-    assert a.seed == 17
+    assert a.shape == (4, 6)
+    assert np.array_equal(a, b)
     shorter = draw_frequencies(17, count=2)
-    assert a.values[:2] == shorter.values
+    assert np.array_equal(a[:2], shorter)
+    for i, stream in enumerate(a):
+        assert np.array_equal(stream, np.random.default_rng([17, i]).uniform(size=6))
 
 
 def test_draw_frequencies_lie_in_the_unit_interval():
     real = draw_frequencies(3, count=8)
-    assert all(0.0 < v < 1.0 for v in real.values)
-
-
-def test_sample_sets_on_the_unit_circle_are_passed_explicitly(rng):
-    circle = FrequencySampleSet(tuple(np.exp(2j * np.pi * np.array([0.1, 0.35]))), 3)
-    nonzero = random_system(rng, n=4, m=2, p=2)
-    for method in (method4_freq, method5_pencil):
-        is_null, evidence = method(nonzero, 1e-7, circle)
-        assert not is_null and evidence["samples"] == 2
-        assert method(_structurally_zero(rng), 1e-7, circle)[0]
+    assert ((0.0 < real) & (real < 1.0)).all()
 
 
 def test_different_seeds_give_different_points():
-    assert draw_frequencies(1, count=3).values != draw_frequencies(2, count=3).values
+    assert not np.array_equal(draw_frequencies(1, count=3)[:, 0], draw_frequencies(2, count=3)[:, 0])
+
+
+def test_draw_frequencies_rejects_no_points():
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            draw_frequencies(1, count)
 
 
 # ------------------------------------------------------------- the five tests
@@ -157,28 +155,35 @@ def test_method1_reports_stage_failures_as_not_null():
 
 def test_method4_steps_off_poles_deterministically(rng):
     # place a pole exactly on the sampled point and check the fallback
-    sample = draw_frequencies(5)
-    lam0 = sample.values[0]
-    sys = make_system([[lam0]], [[1.0]], [[1.0]], [[1.0]], [[0.0]])
-    is_null, evidence = method4_freq(sys, 1e-12, samples=sample)
+    [stream] = draw_frequencies(5)
+    sys = make_system([[stream[0]]], [[1.0]], [[1.0]], [[1.0]], [[0.0]])
+    is_null, evidence = method4_freq(sys, 1e-12, 5)
     assert not is_null  # 1/(lam - lam0) is certainly not zero
-    assert evidence == method4_freq(sys, 1e-12, samples=sample)[1]
-    # the fallback is the first of five draws seeded by (sample seed, tag,
-    # index of the point)
-    redraw = np.random.default_rng([5, 0x9A17, 0]).uniform(size=5)[0]
-    [resp] = _evaluate_dodging_poles(sys, sample, 1e-12)
-    assert np.array_equal(resp, evalfr(sys, redraw, rtol=1e-12))
+    assert evidence == method4_freq(sys, 1e-12, 5)[1]
+    # the fallback is the next draw of the point's own stream
+    resp = _evaluate_off_poles(sys, stream, 1e-12)
+    assert np.array_equal(resp, evalfr(sys, stream[1], rtol=1e-12))
 
 
 def test_method4_replaces_each_pole_hit_by_its_own_point():
-    sample = draw_frequencies(3, 2)
-    n = len(sample.values)
-    sys = make_system(np.diag(sample.values), np.eye(n), np.eye(n), np.eye(n), np.zeros((n, n)))
-    first, second = _evaluate_dodging_poles(sys, sample, 1e-12)
+    streams = draw_frequencies(3, 2)
+    n = len(streams)
+    sys = make_system(np.diag(streams[:, 0]), np.eye(n), np.eye(n), np.eye(n), np.zeros((n, n)))
+    first, second = (_evaluate_off_poles(sys, stream, 1e-12) for stream in streams)
     assert not np.allclose(first, second)
-    for index, resp in enumerate((first, second)):
-        redraw = np.random.default_rng([3, 0x9A17, index]).uniform(size=5)[0]
-        assert np.array_equal(resp, evalfr(sys, redraw, rtol=1e-12))
+    for resp, stream in zip((first, second), streams):
+        assert np.array_equal(resp, evalfr(sys, stream[1], rtol=1e-12))
+
+
+def test_a_pole_point_is_replaced_by_the_next_draw_of_its_stream(monkeypatch):
+    # Point 1 of seed 7 is a pole, so method 4 tries draw 1 of [7, 1] next.
+    streams = [np.random.default_rng([7, i]).uniform(size=6) for i in range(2)]
+    sys = make_system([[streams[1][0]]], [[1.0]], [[1.0]], [[1.0]], [[0.0]])
+    tried = []
+    evaluate = checks.evalfr
+    monkeypatch.setattr(checks, "evalfr", lambda sys, lam, rtol: tried.append(lam) or evaluate(sys, lam, rtol=rtol))
+    assert method4_freq(sys, 1e-12, 7, 2) == (False, {"estimated_rank": 1, "samples": 2})
+    assert tried == [streams[0][0], streams[1][0], streams[1][1]]
 
 
 def test_method5_works_at_tol_zero(rng):
@@ -191,9 +196,9 @@ def test_method5_works_at_tol_zero(rng):
 def test_method5_rank_matches_method4_on_generic_systems(rng):
     for _ in range(10):
         sys = random_system(rng)
-        s = draw_frequencies(int(rng.integers(1000)), count=2)
-        r4 = method4_freq(sys, 1e-7, samples=s)[1]["estimated_rank"]
-        r5 = method5_pencil(sys, 1e-7, samples=s)[1]["estimated_rank"]
+        seed = int(rng.integers(1000))
+        r4 = method4_freq(sys, 1e-7, seed, 2)[1]["estimated_rank"]
+        r5 = method5_pencil(sys, 1e-7, seed, 2)[1]["estimated_rank"]
         assert r4 == r5
 
 
@@ -219,6 +224,33 @@ def test_check_nullrank_rejects_empty_sample_sets(rng, count):
     sys = random_system(rng, n=1)
     with pytest.raises(ValueError, match="sample_count"):
         check_nullrank(sys, methods=(4, 5), sample_count=count)
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"seed": -1}, ValueError),
+    ({"seed": 1.5}, TypeError),
+    ({"sample_count": 2.0}, TypeError),
+    ({"methods": [1.0]}, TypeError),
+    ({"methods": [0, 1]}, ValueError),
+])
+def test_check_nullrank_rejects_arguments_that_are_not_integers_in_range(kwargs, error):
+    # Unchecked, these gave diagnostics (a negative or fractional seed, a
+    # fractional count) or a record whose method was 1.0.
+    base = random_stable_system(GeneratorSpec(4, 2, 3, seed=1))
+    [name] = kwargs
+    with pytest.raises(error, match=name):
+        check_nullrank(subtract(base, base), tol=1e-7, **kwargs)
+
+
+def test_check_nullrank_reads_integer_like_arguments_as_ints():
+    base = random_stable_system(GeneratorSpec(4, 2, 3, seed=1))
+    diff = subtract(base, base)
+    [res] = check_nullrank(diff, methods=[True], tol=1e-7)
+    assert type(res.method) is int and res.method == 1
+    got = check_nullrank(diff, [np.int64(4), np.int64(5)], 1e-7, np.int64(3), np.int64(2))
+    want = check_nullrank(diff, [4, 5], 1e-7, 3, 2)
+    assert [(r.method, r.is_null, r.evidence) for r in got] == [(r.method, r.is_null, r.evidence) for r in want]
+    assert all(type(r.method) is int for r in got)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), -float("inf")])
@@ -421,14 +453,3 @@ def test_check_nullrank_sample_count_flows_to_sampling_methods(rng):
     results = check_nullrank(sys, methods=(4, 5), sample_count=3)
     assert all(r.evidence["samples"] == 3 for r in results)
 
-
-def test_frequency_sample_set_is_frozen():
-    s = FrequencySampleSet((0.5,), 1)
-    with pytest.raises(AttributeError):
-        s.values = (0.7,)
-
-
-def test_frequency_sample_set_rejects_no_points():
-    with pytest.raises(ValueError, match="at least one point"):
-        FrequencySampleSet((), 0)
-    assert FrequencySampleSet((0.25,), 0).values == (0.25,)

@@ -80,17 +80,38 @@ def test_rank_samples_the_points_of_method5(tmp_path, rng, capsys, monkeypatch):
     D = sys.D[:, :1] @ np.ones((1, 3))
     path = tmp_path / "rank1.dss"
     write_system(make_system(sys.A, sys.E, B, sys.C, D), path)
-    seeds = []
+    draws = []
 
     def spy(seed, count=1):
-        seeds.append(seed)
+        draws.append((seed, count))
         return draw_frequencies(seed, count)
 
     monkeypatch.setattr(checks, "draw_frequencies", spy)
     assert main(["rank", str(path), "--seed", "3", "--samples", "2"]) == 0
     assert capsys.readouterr().out == "1\n"
     check_nullrank(read_system(path), (5,), seed=3, sample_count=2)
-    assert seeds == [3 * 8 + 5, 3 * 8 + 5]
+    assert draws == [(3 * 8 + 5, 2), (3 * 8 + 5, 2)]
+
+
+def test_rank_reports_a_failing_method5_and_exits_two(tmp_path, capsys):
+    # Every matrix zero: the system pencil has rank 0, below the order 2.
+    path = tmp_path / "blank.dss"
+    write_system(make_system(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 1)),
+                             np.zeros((1, 2)), np.zeros((1, 1))), path)
+    assert main(["rank", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ReductionError: system pencil rank 0 is below the order 2" in captured.err
+
+
+@pytest.mark.parametrize("command", [["check", "{file}"], ["rank", "{file}"]])
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_a_seed_that_is_not_a_non_negative_integer_is_a_usage_error(nonzero_file, capsys, command, seed):
+    with pytest.raises(SystemExit) as info:
+        main([arg.format(file=nonzero_file) for arg in command] + ["--seed", seed])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--seed" in captured.err
 
 
 def test_rank_is_seed_deterministic(nonzero_file, capsys):

@@ -177,3 +177,33 @@ def test_check_nullrank_alone_builds_and_times_the_records():
         if name.split(".")[-1] == "perf_counter"
     }
     assert timed == {"check_nullrank"}, timed
+
+
+def _none_defaults(func):
+    """Names of the parameters of ``func`` whose default is ``None``."""
+    args = func.args
+    positional = args.posonlyargs + args.args
+    pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+             *zip(args.kwonlyargs, args.kw_defaults)]
+    return {arg.arg for arg, default in pairs if isinstance(default, ast.Constant) and default.value is None}
+
+
+def test_every_random_stream_is_seeded():
+    # default_rng() or default_rng(x) with x defaulting to None draws OS
+    # entropy, and no seed could reproduce the verdict it serves.
+    unseeded = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(tree, set())] + [
+            (node, _none_defaults(node))
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        ]
+        for scope, optional in scopes:
+            for node in ast.walk(scope):
+                if not (isinstance(node, ast.Call) and (_chain(node.func) or [""])[-1] == "default_rng"):
+                    continue
+                seeds = [*node.args, *(keyword.value for keyword in node.keywords)]
+                if not seeds or (isinstance(seeds[0], ast.Name) and seeds[0].id in optional):
+                    unseeded.add(f"{path.stem}:{node.lineno}")
+    assert not unseeded, f"random streams without a seed: {sorted(unseeded)}"
