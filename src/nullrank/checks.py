@@ -94,16 +94,26 @@ class MethodResult:
 _STREAM = 6
 
 
+def _integer(value, name, least):
+    """``value`` as an ``int`` of at least ``least``; an error naming ``name`` if it is not one."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
+    return value
+
+
 def draw_frequencies(seed: int, count: int = 1) -> np.ndarray:
     """The ``count x 6`` point streams of methods 4 and 5, uniform on ``(0, 1)``.
 
     Row ``i`` holds the first six draws of the generator seeded with
     ``[seed, i]``, so a larger ``count`` adds rows and keeps the leading
-    ones.  A ``count`` below 1 raises ``ValueError``: a rank over no
-    samples is no evidence.
+    ones.  A ``seed`` below 0 or a ``count`` below 1 (a rank over no
+    samples is no evidence) raises ``ValueError``.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count!r}")
+    seed, count = _integer(seed, "seed", 0), _integer(count, "count", 1)
     return np.array([np.random.default_rng([seed, i]).uniform(size=_STREAM) for i in range(count)])
 
 
@@ -126,7 +136,7 @@ def method2_norm(sys: DescriptorSystem, tol: float = 0.0, seed: int = 0) -> tupl
     and a failed probe raises :class:`ReductionError`.
     The map and the scan draw from ``default_rng(seed)``.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     mapped = bilinear(sys, random_bilinear_map(rng))
     if not is_regular(mapped, tol):
         raise ReductionError("is_regular probe failed on the remapped pencil")
@@ -199,14 +209,6 @@ _METHODS = {
 }
 
 
-def _integer(value, name):
-    """``value`` as an ``int``; a ``TypeError`` naming ``name`` if it is not one."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
-
-
 def check_nullrank(
     sys: DescriptorSystem,
     methods=(1, 2, 3, 4, 5),
@@ -240,16 +242,20 @@ def check_nullrank(
         error in ``diagnostics``, as ``"<type>: <message>"``; only an
         invalid argument makes this function raise.
     """
-    requested = sorted({_integer(k, "each of methods") for k in methods})
+    try:
+        entries = list(methods)
+    except TypeError:
+        raise TypeError(f"methods must be an iterable of integers, got {methods!r}") from None
+    requested = sorted({_integer(k, "each of methods", 1) for k in entries})
     if not requested or not set(requested) <= set(_METHODS):
         raise ValueError(f"methods must be a non-empty subset of 1..5, got {methods!r}")
-    if not (math.isfinite(tol) and tol >= 0):
+    try:
+        finite = math.isfinite(tol)
+    except TypeError:
+        raise TypeError(f"tol must be a real number, got {tol!r}") from None
+    if not (finite and tol >= 0):
         raise ValueError(f"tol must be a finite number of at least 0, got {tol!r}")
-    seed, sample_count = _integer(seed, "seed"), _integer(sample_count, "sample_count")
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed!r}")
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be at least 1, got {sample_count!r}")
+    seed, sample_count = _integer(seed, "seed", 0), _integer(sample_count, "sample_count", 1)
     results = []
     for k in requested:
         start = time.perf_counter()

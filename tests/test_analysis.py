@@ -177,18 +177,24 @@ def test_peak_gain_raises_when_the_shift_point_is_a_pole():
 
 
 def _reference_evalfr(sys, lam, rtol=0.0):
-    """The scipy-wrapper evaluation that evalfr's LAPACK calls must match."""
+    """The scipy-wrapper evaluation that evalfr's LAPACK calls must match.
+
+    A real point takes the LU of the real matrix, any other point the
+    complex one.
+    """
     if sys.n == 0:
         return sys.D.astype(complex)
     lam = complex(lam)
+    shift = lam.real if lam.imag == 0.0 else lam
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(lam * sys.E - sys.A)
+        lu, piv = scipy.linalg.lu_factor(shift * sys.E - sys.A)
     diag = np.abs(np.diag(lu))
     cut = rtol if rtol > 0.0 else 16.0 * sys.n * np.finfo(float).eps
     if diag.max() == 0.0 or diag.min() <= cut * diag.max():
         raise PoleEvaluationError(f"evaluation at a pole (lam = {lam})")
-    return sys.D + sys.C @ scipy.linalg.lu_solve((lu, piv), sys.B.astype(complex))
+    X = scipy.linalg.lu_solve((lu, piv), sys.B.astype(lu.dtype))
+    return (sys.D + sys.C @ X).astype(complex)
 
 
 def _reference_peak_gain(sys, tol, seed):
@@ -226,17 +232,18 @@ def test_evalfr_and_peak_gain_bit_identical_to_scipy_wrappers(rng, case):
             assert np.linalg.matrix_rank(sys.E) == r
         elif case.endswith("pole"):
             sys = _with_pole_on_boundary(rng, timing)
-            first = _boundary_grid(sys, np.random.default_rng(k))[0]
+            first = _boundary_grid(sys, np.random.default_rng(k))[0]  # 0 or 1: a real point
+            assert first.imag == 0.0
             with pytest.raises(PoleEvaluationError):
                 _reference_evalfr(sys, first, 1e-7)
             with pytest.raises(PoleEvaluationError):
                 evalfr(sys, first, rtol=1e-7)
         else:
             sys = random_system(rng, n=int(rng.integers(1, 40)), timing=timing)
-        lam = complex(rng.standard_normal(), rng.standard_normal())
-        got = evalfr(sys, lam)
-        assert got.dtype == complex
-        assert np.array_equal(got, _reference_evalfr(sys, lam))
+        for lam in (complex(rng.standard_normal(), rng.standard_normal()), float(rng.standard_normal())):
+            got = evalfr(sys, lam)
+            assert got.dtype == complex
+            assert np.array_equal(got, _reference_evalfr(sys, lam))
         # the QZ scan is not bit-identical; at a skipped pole the gain would be huge
         want = _reference_peak_gain(sys, 1e-7, k)
         assert peak_gain(sys, 1e-7, rng=k) == pytest.approx(want, rel=1e-9)
@@ -245,9 +252,10 @@ def test_evalfr_and_peak_gain_bit_identical_to_scipy_wrappers(rng, case):
 @pytest.mark.parametrize("n, m, p", [(3, 0, 2), (3, 2, 0), (0, 2, 2), (0, 0, 0)])
 def test_evalfr_and_peak_gain_on_empty_dimensions(rng, n, m, p):
     sys = random_system(rng, n=n, m=m, p=p)
-    got = evalfr(sys, 0.5j)
-    assert got.shape == (p, m) and got.dtype == complex
-    assert np.array_equal(got, _reference_evalfr(sys, 0.5j))
+    for lam in (0.5j, 0.5):
+        got = evalfr(sys, lam)
+        assert got.shape == (p, m) and got.dtype == complex
+        assert np.array_equal(got, _reference_evalfr(sys, lam))
     if p and m:
         assert peak_gain(sys) == pytest.approx(_reference_peak_gain(sys, 0.0, 0), rel=1e-9)
     else:

@@ -71,10 +71,16 @@ def test_different_seeds_give_different_points():
     assert not np.array_equal(draw_frequencies(1, count=3)[:, 0], draw_frequencies(2, count=3)[:, 0])
 
 
-def test_draw_frequencies_rejects_no_points():
+def test_draw_frequencies_rejects_no_points(rng):
     for count in (0, -1):
         with pytest.raises(ValueError, match="count must be at least 1"):
             draw_frequencies(1, count)
+    # a negative seed, also where methods 2, 4 and 5 are called directly
+    sys = random_system(rng, n=2)
+    for draw in (lambda: draw_frequencies(-1), lambda: method2_norm(sys, 1e-7, seed=-1),
+                 lambda: method4_freq(sys, 1e-7, seed=-1), lambda: method5_pencil(sys, 1e-7, seed=-1)):
+        with pytest.raises(ValueError, match="seed must be at least 0"):
+            draw()
 
 
 # ------------------------------------------------------------- the five tests
@@ -232,10 +238,12 @@ def test_check_nullrank_rejects_empty_sample_sets(rng, count):
     ({"sample_count": 2.0}, TypeError),
     ({"methods": [1.0]}, TypeError),
     ({"methods": [0, 1]}, ValueError),
+    ({"methods": 5}, TypeError),
 ])
 def test_check_nullrank_rejects_arguments_that_are_not_integers_in_range(kwargs, error):
     # Unchecked, these gave diagnostics (a negative or fractional seed, a
-    # fractional count) or a record whose method was 1.0.
+    # fractional count), a record whose method was 1.0, or an error that
+    # did not name the argument (methods=5).
     base = random_stable_system(GeneratorSpec(4, 2, 3, seed=1))
     [name] = kwargs
     with pytest.raises(error, match=name):
@@ -253,11 +261,12 @@ def test_check_nullrank_reads_integer_like_arguments_as_ints():
     assert all(type(r.method) is int for r in got)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), -float("inf")])
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), -float("inf"), "x", None])
 def test_check_nullrank_rejects_a_tol_that_is_not_a_finite_non_negative_number(tol):
-    # unchecked, nan and -1 would run the relative rule of tol = 0 and inf give ranks of -n
+    # unchecked, nan and -1 would run the relative rule of tol = 0 and inf give ranks of -n;
+    # a tol that is not a number at all is a TypeError that names it
     sys = random_stable_system(GeneratorSpec(4, 2, 3, seed=1))
-    with pytest.raises(ValueError, match="tol"):
+    with pytest.raises(ValueError if isinstance(tol, float) else TypeError, match="tol"):
         check_nullrank(sys, tol=tol)
 
 

@@ -11,7 +11,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import nullrank
+from nullrank import analysis, bench, checks
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -207,3 +211,25 @@ def test_every_random_stream_is_seeded():
                 if not seeds or (isinstance(seeds[0], ast.Name) and seeds[0].id in optional):
                     unseeded.add(f"{path.stem}:{node.lineno}")
     assert not unseeded, f"random streams without a seed: {sorted(unseeded)}"
+
+
+class _ComplexLU(Exception):
+    pass
+
+
+def test_evalfr_takes_the_real_lu_at_a_real_point(monkeypatch):
+    # Method 4's points, build_zero_case's spot check and perfbench's
+    # certificate probes are real, and a complex LU costs about four times
+    # a real one; only a point off the real axis may reach zgetrf.
+    def complex_lu(*args, **kwargs):
+        raise _ComplexLU
+
+    sys_ = bench.random_stable_system(bench.GeneratorSpec(6, 2, 3, seed=1))
+    want = analysis.evalfr(sys_, 0.37)
+    monkeypatch.setattr(analysis, "zgetrf", complex_lu)
+    for lam in (0.37, np.float64(0.37), complex(0.37, 0.0)):
+        assert np.array_equal(analysis.evalfr(sys_, lam), want)
+    checks.method4_freq(sys_, 1e-7, seed=3, count=4)
+    bench.build_zero_case(5, 0)
+    with pytest.raises(_ComplexLU):
+        analysis.evalfr(sys_, complex(0.37, 0.1))
