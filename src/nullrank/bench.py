@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import evalfr
-from .checks import check_nullrank
+from .checks import _integer, check_nullrank
 from .core import CONTINUOUS, DISCRETE, BilinearMap, DescriptorSystem, bilinear, conjugate, subtract, transpose
 
 __all__ = [
@@ -50,8 +50,8 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.n, self.p, self.m) < 0:
-            raise ValueError("dimensions must be nonnegative")
+        for name in ("n", "p", "m", "seed"):
+            _integer(getattr(self, name), name, 0)
         if self.timing not in (CONTINUOUS, DISCRETE):
             raise ValueError(f"bad timing {self.timing!r}")
 
@@ -154,18 +154,19 @@ def run_benchmark(
 ) -> list[BenchRow]:
     """Sweep the zero-ness tests over certified-zero cases.
 
-    For every order in ``orders`` and every seed in
-    ``range(seeds_per_order)`` this builds a zero case and runs all five
-    methods on it at tolerance ``tol``.  Rows come back ordered by
-    ``(n, seed)``.  A method that fails is recorded in its result's
-    diagnostics and the sweep moves on; a case that cannot be built
-    raises (``ValueError`` for a negative order, ``RuntimeError`` for a
-    failed spot check).  Decisions are deterministic in
-    ``(orders, tol, seeds_per_order)``; timings are wall-clock.
+    For every distinct order in ``orders`` (integers of at least 0) and
+    every seed in ``range(seeds_per_order)`` (at least 1) this builds a
+    zero case and runs all five methods on it at tolerance ``tol``.  Rows
+    come back ordered by ``(n, seed)``.  A method that fails is recorded
+    in its result's diagnostics and the sweep moves on; a case that
+    cannot be built raises ``RuntimeError`` (a failed spot check).
+    Decisions are deterministic in ``(orders, tol, seeds_per_order)``;
+    timings are wall-clock.
     """
-    orders = sorted(orders)
+    orders = sorted({_integer(n, "each of orders", 0) for n in orders})
     if not orders:
         raise ValueError("orders must be nonempty")
+    seeds_per_order = _integer(seeds_per_order, "seeds_per_order", 1)
     rows = []
     for n in orders:
         for seed in range(seeds_per_order):

@@ -219,8 +219,6 @@ def is_regular(sys: DescriptorSystem, tol: float = 0.0) -> bool:
 
     Order zero counts as regular.
     """
-    if sys.n == 0:
-        return True
     return kernels.rank_svd(sys.A - PROBE_POINT * sys.E, tol) == sys.n
 
 

@@ -59,13 +59,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MinimalizationReport:
-    """Order bookkeeping for :func:`minimal_realization`."""
+    """States removed by each stage of :func:`minimal_realization`."""
 
-    original_order: int
     removed_uncontrollable: int
     removed_unobservable: int
     removed_nondynamic: int
-    final_order: int
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,6 @@ class KroneckerStructure:
     left_cols: int
     Q: np.ndarray
     Z: np.ndarray
-    reduced: LinearPencil
 
 
 def system_pencil(sys: DescriptorSystem) -> LinearPencil:
@@ -160,13 +157,12 @@ def _ctrb_reduce(sys: DescriptorSystem, tol: float):
     triangular with the kept part leading.
     """
     tol = _anchored_tol(tol, sys.A, sys.E, sys.B)
-    n0 = sys.n
     A = np.array(sys.A)
     E = np.array(sys.E)
     B = np.array(sys.B)
     C = np.array(sys.C)
-    Q = np.eye(n0)
-    Z = np.eye(n0)
+    Q = np.eye(sys.n)
+    Z = np.eye(sys.n)
 
     # Pass 1: peel off state directions unreachable through [E B]; these
     # carry uncontrollable infinite eigenvalues.  One compression can
@@ -197,7 +193,6 @@ def _ctrb_reduce(sys: DescriptorSystem, tol: float):
         B = B[:rho, :]
         C = C[:, :rho]
 
-    removed_inf = n0 - A.shape[0]
     n2 = A.shape[0]
 
     # Pass 2: isolate what is left of the infinite structure in a leading
@@ -275,9 +270,8 @@ def _ctrb_reduce(sys: DescriptorSystem, tol: float):
             B = B[:kept, :]
             C = C[:, :kept]
 
-    removed_fin = n2 - kept
     out = DescriptorSystem(A, E, B, C, sys.D, sys.timing)
-    return out, removed_inf + removed_fin, Q, Z
+    return out, sys.n - out.n, Q, Z
 
 
 def ctrb_staircase(sys: DescriptorSystem, tol: float = 0.0):
@@ -390,8 +384,8 @@ def minimal_realization(sys: DescriptorSystem, tol: float = 0.0):
     -------
     reduced : DescriptorSystem
     report : MinimalizationReport
-        Per-stage removal counts; ``original_order`` always equals
-        ``final_order`` plus the three removal counts.
+        Per-stage removal counts; ``sys.n`` always equals ``reduced.n``
+        plus the three of them.
     """
     # Resolve the default threshold once, against the original data, so
     # later stages judge the rounding residue left behind by earlier ones
@@ -400,14 +394,7 @@ def minimal_realization(sys: DescriptorSystem, tol: float = 0.0):
     s1, removed_c, _, _ = ctrb_staircase(sys, tol)
     s2, removed_o, _, _ = obsv_staircase(s1, tol)
     s3, removed_n, _, _ = remove_nondynamic(s2, tol)
-    report = MinimalizationReport(
-        original_order=sys.n,
-        removed_uncontrollable=removed_c,
-        removed_unobservable=removed_o,
-        removed_nondynamic=removed_n,
-        final_order=s3.n,
-    )
-    return s3, report
+    return s3, MinimalizationReport(removed_c, removed_o, removed_n)
 
 
 # Pencils whose smaller side is at least this large are extracted by the
@@ -536,8 +523,10 @@ def kronecker_like(pencil: LinearPencil, tol: float = 0.0) -> KroneckerStructure
     Computes orthogonal ``Q``, ``Z`` such that ``Q.T (M - lam*N) Z`` is
     block upper triangular with a full row rank pencil on top, a regular
     square core in the middle and a full column rank pencil at the
-    bottom (see :class:`KroneckerStructure`).  The normal rank of the
-    input is then the sum ``right_rows + regular_order + left_cols``.
+    bottom (see :class:`KroneckerStructure`).  Only ``Q``, ``Z`` and the
+    five block sizes are returned: the reduced pencil is
+    ``Q.T (M - lam*N) Z``.  The normal rank of the input is the sum
+    ``right_rows + regular_order + left_cols``.
 
     The reduction is the SVD-based staircase of Van Dooren (1979), with
     every rank decision taken on singular values.  Small pencils run the
@@ -567,8 +556,6 @@ def kronecker_like(pencil: LinearPencil, tol: float = 0.0) -> KroneckerStructure
     qb = q - left_rows
     rb = r - left_cols
     QB, ZB, right_rows, right_cols = _extract_row_structure(M2[:qb, :rb], N2[:qb, :rb], tol)
-    M2[:qb, rb:] = QB.T @ M2[:qb, rb:]
-    N2[:qb, rb:] = QB.T @ N2[:qb, rb:]
     Q = QA.copy()
     Q[:, :qb] = QA[:, :qb] @ QB
     Z = ZA.copy()
@@ -589,7 +576,6 @@ def kronecker_like(pencil: LinearPencil, tol: float = 0.0) -> KroneckerStructure
         left_cols=left_cols,
         Q=Q,
         Z=Z,
-        reduced=LinearPencil(M2, N2),
     )
 
 

@@ -216,9 +216,7 @@ def test_criterion_8_reduction_stages_preserve_the_transfer():
             check_orthogonal(mat, f"case {i}: {tag}")
         red, _ = minimal_realization(sys, TOL)
         again, report = minimal_realization(red, TOL)
-        assert report.original_order == report.final_order == red.n, (
-            f"case {i}: reduction is not idempotent ({report})"
-        )
+        assert again.n == red.n, f"case {i}: reduction is not idempotent ({report})"
 
 
 def test_criterion_9_file_round_trip_is_bit_exact():

@@ -25,6 +25,10 @@ def test_generator_spec_validation():
         GeneratorSpec(-1, 2, 1)
     with pytest.raises(ValueError):
         GeneratorSpec(3, 2, 1, timing="sampled")
+    with pytest.raises(TypeError, match="^n must be an integer"):
+        GeneratorSpec(1.5, 2, 3)
+    with pytest.raises(ValueError, match="^seed must be at least 0"):
+        GeneratorSpec(3, 2, 1, seed=-1)
 
 
 def test_random_stable_system_shapes_and_identity_e():
@@ -102,6 +106,14 @@ def test_zero_case_passes_a_cheap_method():
 def test_run_benchmark_validates_orders():
     with pytest.raises(ValueError):
         run_benchmark([])
+    for seeds in (0, -3):
+        with pytest.raises(ValueError, match="^seeds_per_order must be at least 1"):
+            run_benchmark([1], seeds_per_order=seeds)
+    with pytest.raises(TypeError, match="^seeds_per_order must be an integer"):
+        run_benchmark([1], seeds_per_order=1.5)
+    with pytest.raises(TypeError, match="^each of orders must be an integer"):
+        run_benchmark([1.5])
+    assert [(r.n, r.seed) for r in run_benchmark([1, 1], seeds_per_order=1)] == [(1, 0)]
 
 
 def test_run_benchmark_row_layout_and_order():
@@ -132,7 +144,7 @@ def test_run_benchmark_decisions_are_deterministic():
 
 
 def test_run_benchmark_raises_on_a_case_it_cannot_build(monkeypatch):
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="^each of orders must be at least 0"):
         run_benchmark([-1])
 
     def boom(n, seed):

@@ -335,8 +335,14 @@ def _singular_pole_pencil():
                        [[1.0], [1.0]], [[1.0, 1.0]], [[0.0]])
 
 
+def _zero_pole_pencil():
+    # A = E = 0: G is undefined, yet the system pencil has rank 2, the order.
+    z = np.zeros((2, 2))
+    return make_system(z, z, np.ones((2, 1)), np.ones((1, 2)), [[0.0]])
+
+
 def test_singular_pole_pencil_is_flagged_by_methods_1_2_and_4():
-    # What M3 and M5 report here is an open problem and not pinned.
+    # M3 and M5 do not flag it; the strict xfail below pins that.
     sys = _singular_pole_pencil()
     results = check_nullrank(sys, methods=(1, 2, 4), tol=1e-7)
     assert not any(r.is_null for r in results)
@@ -345,6 +351,15 @@ def test_singular_pole_pencil_is_flagged_by_methods_1_2_and_4():
         "ReductionError: is_regular probe failed on the remapped pencil",
         "PoleEvaluationError: could not find non-pole frequency",
     ]
+
+
+@pytest.mark.xfail(strict=True, reason="M3 and M5 accept a singular pole pencil (README, Known limits)")
+def test_methods_3_and_5_flag_a_singular_pole_pencil():
+    # Today M3 and M5 give a clean not-null on the first pencil and a clean
+    # null (normal rank 0, estimated rank 0) on the second.
+    for sys in (_singular_pole_pencil(), _zero_pole_pencil()):
+        for res in check_nullrank(sys, methods=(3, 5), tol=1e-7):
+            assert not res.is_null and res.diagnostics, res
 
 
 def test_methods_called_directly_raise_the_typed_error():
